@@ -19,7 +19,6 @@ from math import sqrt
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import goftest, parfit, simsuite
 from .kernels import QuadratureError
@@ -383,6 +382,8 @@ def cmd_qqcheck(cfg: dict) -> int:
     for i, value in enumerate(result.values):
         lines.append(f"{i},{value:.17g}")
     if result.values.size >= 8:
+        from scipy import stats
+
         ks_p = stats.kstest(result.values, "norm").pvalue
         sw_p = stats.shapiro(result.values).pvalue
         lines.append(f"ks_pvalue,{ks_p:.17g}")

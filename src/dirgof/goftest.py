@@ -5,14 +5,15 @@ local fit of the responses and the locally smoothed parametric fit, weighted
 by a kernel density estimate of the design (and an optional weight
 function).  Because both smoothers share the same effective weights, the
 gap reduces to the smoothed parametric residuals, so the weight rows, the
-density estimate and the quadrature are computed once per test invocation
-and shared read-only across the wild bootstrap replicates.
+density estimate and the quadrature are computed once per bandwidth and
+shared read-only across the wild bootstrap replicates.
 
 Calibration follows a residual wild bootstrap with golden-section
 multipliers: resampled responses are the parametric fit plus residuals
 scaled by two-point multipliers (mean 0, variance 1), the parameter is
 refitted under the composite hypothesis, and the p-value is the fraction
-of replicate statistics at or above the observed one.
+of replicate statistics at or above the observed one.  None of that reads
+the bandwidth, so a bandwidth grid shares one ``null_bootstrap``.
 """
 
 from __future__ import annotations
@@ -105,13 +106,21 @@ def node_cache(predictors, cfg: GofConfig) -> NodeCache:
 
 
 def statistic_from_residuals(cache: NodeCache, residuals) -> np.ndarray | float:
-    """Quadrature of the squared smoothed residuals; rows of a matrix batch."""
+    """Quadrature of the squared smoothed residuals; rows of a matrix batch.
+
+    A batch of r rows over n points and m nodes is the quadratic form
+    e G e^T with the n x n Gram matrix G = R^T diag(f) R; it is evaluated
+    that way when it takes fewer flops, n (m + r) < m r, and otherwise by
+    smoothing every row at every node.
+    """
     residuals = np.asarray(residuals, dtype=float)
-    smoothed = cache.rows @ residuals.T
-    values = cache.node_factor @ smoothed**2
     if residuals.ndim == 1:
-        return float(values)
-    return values
+        return float(cache.node_factor @ (cache.rows @ residuals) ** 2)
+    (m, n), r = cache.rows.shape, residuals.shape[0]
+    if n * (m + r) < m * r:
+        gram = (cache.rows.T * cache.node_factor) @ cache.rows
+        return np.einsum("bi,bi->b", residuals @ gram, residuals)
+    return cache.node_factor @ (cache.rows @ residuals.T) ** 2
 
 
 def statistic(predictors, responses, family: parfit.ParametricFamily, theta, cfg: GofConfig) -> float:
@@ -179,34 +188,26 @@ def _config_echo(cfg: GofConfig, n: int, q: int, family_kind: str) -> dict:
     }
 
 
-def bootstrap_test(
-    predictors,
-    responses,
-    family: parfit.ParametricFamily,
-    cfg: GofConfig,
-    multipliers: np.ndarray | None = None,
-    cache: NodeCache | None = None,
-) -> GofResult:
-    """Run the full calibrated test.
+def null_bootstrap(
+    predictors, responses, family: parfit.ParametricFamily, cfg: GofConfig, multipliers=None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Null fit and wild bootstrap refits: (theta_hat, residuals, failed refits).
 
+    ``residuals`` stacks the observed residuals (row 0) on the (bootstrap, n)
+    block of bootstrap residuals, so one statistic call evaluates both alike.
     ``multipliers`` may carry a precomputed (bootstrap, n) block of
-    golden-section draws so several bandwidths can share one stream; the
-    default draws them from the config seed.  Everything is deterministic
-    given (data, config, multipliers).
+    golden-section draws; the default draws them from the config seed.
+    Nothing here reads the bandwidth, so one call serves a whole grid.
     """
     predictors = np.asarray(predictors, dtype=float)
     responses = np.asarray(responses, dtype=float)
-    n, dim = predictors.shape
-    if cache is None:
-        cache = node_cache(predictors, cfg)
-
+    n = predictors.shape[0]
     if cfg.hypothesis == "simple":
         theta_hat = np.asarray(cfg.theta0, dtype=float)
     else:
         theta_hat = parfit.fit(family, predictors, responses).theta
     fitted = parfit.predict_batch(family, theta_hat, predictors)
     residuals = responses - fitted
-    observed = statistic_from_residuals(cache, residuals)
 
     if multipliers is None:
         rng = np.random.default_rng(cfg.seed)
@@ -229,14 +230,26 @@ def bootstrap_test(
             raise RuntimeError(
                 f"{failed} of {cfg.bootstrap} bootstrap refits failed to converge"
             )
-    replicate_stats = statistic_from_residuals(cache, star_residuals)
+    return np.atleast_1d(theta_hat), np.vstack([residuals, star_residuals]), failed
 
-    p_value = float(np.mean(observed <= replicate_stats))
+
+def bootstrap_test(predictors, responses, family: parfit.ParametricFamily, cfg: GofConfig) -> GofResult:
+    """Run the full calibrated test at the configured bandwidth.
+
+    Deterministic given (data, config): the null bootstrap, then one
+    statistic call over the observed and all replicate residual rows.
+    """
+    predictors = np.asarray(predictors, dtype=float)
+    n, dim = predictors.shape
+    theta_hat, residuals, failed = null_bootstrap(predictors, responses, family, cfg)
+    cache = node_cache(predictors, cfg)
+    values = statistic_from_residuals(cache, residuals)
+    observed, replicate_stats = float(values[0]), values[1:]
     return GofResult(
         statistic=observed,
         bootstrap_statistics=replicate_stats,
-        p_value=p_value,
-        theta_hat=np.atleast_1d(theta_hat),
+        p_value=float(np.mean(observed <= replicate_stats)),
+        theta_hat=theta_hat,
         regularized_nodes=cache.regularized_count,
         failed_replicates=failed,
         config=_config_echo(cfg, n, dim - 1, family.kind),

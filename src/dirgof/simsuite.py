@@ -229,28 +229,27 @@ def _trial_p_values(args) -> np.ndarray:
     ) = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
     quadrature = goftest.default_quadrature(scenario.q, quad_resolution, seed=seed)
-    if local_alternative:
-        predictors = density.density_sample(scenario.design, n, rng)
-        mean = parfit.predict_batch(scenario.family, scenario.theta0, predictors)
-        shape = _DEVIATIONS[scenario.deviation](predictors)
-        noise = scenario.sigma(predictors) * rng.standard_normal(n)
-    else:
-        predictors, responses = generate(scenario, n, rng, under_null=under_null)
+    # a local alternative adds its h-dependent drift to null responses
+    predictors, responses = generate(scenario, n, rng, under_null=under_null or local_alternative)
     multipliers = goftest.golden_section_draws((bootstrap, n), rng)
     out = np.empty(len(h_grid))
+    residuals = None
     for i, h in enumerate(h_grid):
-        if local_alternative:
-            drift = local_alternative_scale(n, h, scenario.q) * scenario.deviation_coef
-            responses = mean + drift * shape + noise
         cfg = goftest.GofConfig(
             fit=LocalFitConfig(degree=degree, bandwidth=float(h)),
             quadrature=quadrature,
             bootstrap=bootstrap,
             seed=seed,
         )
-        out[i] = goftest.bootstrap_test(
-            predictors, responses, scenario.family, cfg, multipliers=multipliers
-        ).p_value
+        # the null bootstrap does not read h; a local alternative's drift does
+        if local_alternative or residuals is None:
+            y = responses
+            if local_alternative:
+                drift = local_alternative_scale(n, h, scenario.q) * scenario.deviation_coef
+                y = responses + drift * _DEVIATIONS[scenario.deviation](predictors)
+            _, residuals, _ = goftest.null_bootstrap(predictors, y, scenario.family, cfg, multipliers)
+        values = goftest.statistic_from_residuals(goftest.node_cache(predictors, cfg), residuals)
+        out[i] = np.mean(values[0] <= values[1:])
     return out
 
 
@@ -270,8 +269,10 @@ def significance_trace(
 ) -> TraceResult:
     """Empirical rejection proportions per (bandwidth, level).
 
-    Each trial reuses its generated sample and its multiplier block across
-    the whole bandwidth grid.  Trials are independent jobs over seeded
+    Each trial reuses its generated sample, its multiplier block and its
+    null bootstrap (null fit and refits) across the whole bandwidth grid;
+    under ``local_alternative`` the responses move with h, so the null
+    bootstrap reruns per h.  Trials are independent jobs over seeded
     substreams, so the result does not depend on the worker count.
     """
     h_grid = np.asarray(sorted(float(h) for h in h_grid))

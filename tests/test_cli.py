@@ -212,3 +212,10 @@ def test_console_entry_point(tmp_path):
     assert first.returncode == 0, first.stderr
     assert second.returncode == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """Only qqcheck needs scipy.stats, so importing the CLI must not pay for it."""
+    code = "import sys, dirgof.cli; sys.exit(int('scipy.stats' in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr

@@ -69,6 +69,30 @@ def test_residual_form_equals_direct_form(degree, rng):
         assert residual_form >= 0.0
 
 
+@pytest.mark.parametrize(
+    "weight_fn", [None, lambda nodes: 1.0 + nodes[:, 0] ** 2], ids=["unweighted", "weighted"]
+)
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("n, r", [(60, 400), (60, 20), (400, 30)])
+def test_gram_and_direct_forms_agree(n, r, degree, weight_fn, rng):
+    """Both sides of the Gram-form switch n (m + r) < m r, with m = 256 nodes."""
+    predictors, _ = sample_constant_model(rng, n=n)
+    cache = goftest.node_cache(predictors, make_cfg(degree=degree, weight_fn=weight_fn))
+    m = cache.rows.shape[0]
+    assert (n * (m + r) < m * r) == (r == 400)
+    residuals = rng.standard_normal((r, n))
+    batch = goftest.statistic_from_residuals(cache, residuals)
+    direct = cache.node_factor @ (cache.rows @ residuals.T) ** 2
+    gram = np.einsum(
+        "bi,ij,bj->b", residuals, cache.rows.T @ (cache.node_factor[:, None] * cache.rows), residuals
+    )
+    single = [goftest.statistic_from_residuals(cache, e) for e in residuals[:3]]
+    assert all(type(value) is float for value in single)
+    np.testing.assert_allclose(batch, direct, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(batch, gram, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(batch[:3], single, rtol=1e-10, atol=0)
+
+
 def test_statistic_permutation_invariant(rng):
     predictors, responses = sample_constant_model(rng)
     family = parfit.constant_family()
@@ -139,16 +163,13 @@ def test_multiplier_block_shared_across_bandwidths(rng):
     p_values = []
     for h in (0.4, 0.8):
         cfg = make_cfg(h=h, bootstrap=80)
-        result = goftest.bootstrap_test(
-            predictors, responses, family, cfg, multipliers=draws
-        )
-        p_values.append(result.p_value)
+        _, residuals, _ = goftest.null_bootstrap(predictors, responses, family, cfg, draws)
+        values = goftest.statistic_from_residuals(goftest.node_cache(predictors, cfg), residuals)
+        p_values.append(np.mean(values[0] <= values[1:]))
     assert all(0.0 <= p <= 1.0 for p in p_values)
     with pytest.raises(ValueError):
         cfg = make_cfg(bootstrap=80)
-        goftest.bootstrap_test(
-            predictors, responses, family, cfg, multipliers=draws[:, :50]
-        )
+        goftest.null_bootstrap(predictors, responses, family, cfg, draws[:, :50])
 
 
 def _stubborn_family():
@@ -188,10 +209,9 @@ def test_simple_null_rejection_rate():
             seed=404, hypothesis="simple", theta0=np.array([1.0]),
         )
         draws = goftest.golden_section_draws((100, 100), trial_rng)
-        result = goftest.bootstrap_test(
-            predictors, responses, family, cfg, multipliers=draws
-        )
-        rejected += result.p_value < 0.05
+        _, residuals, _ = goftest.null_bootstrap(predictors, responses, family, cfg, draws)
+        values = goftest.statistic_from_residuals(goftest.node_cache(predictors, cfg), residuals)
+        rejected += np.mean(values[0] <= values[1:]) < 0.05
     assert 0.02 <= rejected / reps <= 0.08
 
 

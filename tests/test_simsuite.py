@@ -4,8 +4,9 @@ from math import e, log, sqrt
 import numpy as np
 import pytest
 
-from dirgof import parfit, simsuite
+from dirgof import goftest, parfit, simsuite
 from dirgof.goftest import default_quadrature
+from dirgof.locreg import LocalFitConfig
 
 
 def test_deviation_one_values():
@@ -138,6 +139,69 @@ def test_local_alternative_trace_runs():
         local_alternative=True,
     )
     assert result.p_values.shape == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "under_null, local_alternative, refits_per_trial",
+    [(True, False, 1), (False, False, 1), (False, True, 3)],
+)
+def test_refits_once_per_trial_unless_responses_move(
+    monkeypatch, under_null, local_alternative, refits_per_trial
+):
+    calls = []
+    fit_batch = parfit.fit_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fit_batch(*args, **kwargs)
+
+    monkeypatch.setattr(parfit, "fit_batch", counting)
+    simsuite.significance_trace(
+        simsuite.make_scenario("S1", 1), n=40, h_grid=[0.3, 0.6, 1.2], trials=2,
+        bootstrap=10, seed=5, under_null=under_null, local_alternative=local_alternative,
+    )
+    assert len(calls) == 2 * refits_per_trial
+
+
+def _p_values_refitting_per_bandwidth(scenario, n, h_grid, bootstrap, degree, seed, trial, quad_res):
+    """One null trial as the trace once ran it: null fit, refits and the
+    direct form of the statistic redone at every bandwidth."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    quadrature = default_quadrature(scenario.q, quad_res, seed=seed)
+    predictors, responses = simsuite.generate(scenario, n, rng)
+    multipliers = goftest.golden_section_draws((bootstrap, n), rng)
+    out = []
+    for h in h_grid:
+        cfg = goftest.GofConfig(
+            fit=LocalFitConfig(degree, h), quadrature=quadrature, bootstrap=bootstrap, seed=seed
+        )
+        cache = goftest.node_cache(predictors, cfg)
+        theta = parfit.fit(scenario.family, predictors, responses).theta
+        fitted = parfit.predict_batch(scenario.family, theta, predictors)
+        residuals = responses - fitted
+        observed = float(cache.node_factor @ (cache.rows @ residuals) ** 2)
+        _, star, converged = parfit.fit_batch(
+            scenario.family, predictors, fitted + residuals * multipliers
+        )
+        assert converged.mean() >= 0.95
+        replicates = cache.node_factor @ (cache.rows @ star.T) ** 2
+        out.append(float(np.mean(observed <= replicates)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "scenario_id, q, degree, quad_res",
+    [("S4", 1, 0, None), ("S2", 2, 1, 16)],
+)
+def test_trace_equals_refitting_per_bandwidth(scenario_id, q, degree, quad_res):
+    scenario = simsuite.make_scenario(scenario_id, q)
+    kw = dict(n=60, h_grid=[0.3, 0.6, 1.2], bootstrap=30, degree=degree, seed=31)
+    trace = simsuite.significance_trace(scenario, trials=2, quad_resolution=quad_res, **kw)
+    for trial in range(2):
+        expected = _p_values_refitting_per_bandwidth(
+            scenario, trial=trial, quad_res=quad_res, **kw
+        )
+        assert trace.p_values[trial].tolist() == expected
 
 
 def test_qq_experiment_requires_homoscedastic():
