@@ -226,9 +226,19 @@ def _read_data_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return predictors, body[:, -1]
 
 
-def _read_constraint(path: str) -> np.ndarray:
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    return rows
+def _family_from_config(cfg: dict, q: int) -> parfit.ParametricFamily:
+    constraint = None
+    if cfg["constraint"]:
+        try:
+            constraint = np.loadtxt(cfg["constraint"], delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{cfg['constraint']}: {exc}") from exc
+    if cfg["family"] == "constrained-linear" and constraint is None:
+        raise DataError("constrained-linear needs --constraint")
+    try:
+        return _FAMILY_BUILDERS[cfg["family"]](q, constraint)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def _write_bytes(path: str, payload: str) -> None:
@@ -241,10 +251,7 @@ def cmd_test(cfg: dict) -> int:
     q = predictors.shape[1] - 1
     if "q" in cfg["_provided"] and cfg["q"] != q:
         raise DataError(f"--q {cfg['q']} contradicts the {q + 1} predictor columns")
-    constraint = _read_constraint(cfg["constraint"]) if cfg["constraint"] else None
-    if cfg["family"] == "constrained-linear" and constraint is None:
-        raise DataError("constrained-linear needs --constraint")
-    family = _FAMILY_BUILDERS[cfg["family"]](q, constraint)
+    family = _family_from_config(cfg, q)
     theta0 = None
     if cfg["hypothesis"] == "simple":
         if cfg["theta0"] is None:
@@ -290,7 +297,10 @@ def _parse_design(text: str, q: int):
             raise DataError(
                 f"design component {chunk!r} is not 'weight:kappa:mu1,..,mud'"
             )
-        weight, kappa = float(parts[0]), float(parts[1])
+        try:
+            weight, kappa = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise DataError(f"bad design component {chunk!r}: {exc}") from exc
         mu = np.array(_float_list(parts[2], "design mean"))
         if mu.size != q + 1:
             raise DataError(f"design mean needs {q + 1} entries, got {mu.size}")
@@ -308,10 +318,7 @@ def _scenario_from_config(cfg: dict) -> simsuite.Scenario:
         except ValueError as exc:
             raise DataError(str(exc)) from exc
     q = cfg["q"]
-    constraint = _read_constraint(cfg["constraint"]) if cfg["constraint"] else None
-    if cfg["family"] == "constrained-linear" and constraint is None:
-        raise DataError("constrained-linear needs --constraint")
-    family = _FAMILY_BUILDERS[cfg["family"]](q, constraint)
+    family = _family_from_config(cfg, q)
     if cfg["theta0"] is None:
         raise DataError("custom scenarios need --theta0 (the true parameter)")
     theta0 = np.array(_float_list(cfg["theta0"], "theta0"))

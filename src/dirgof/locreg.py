@@ -8,10 +8,10 @@ goodness-of-fit statistic reuses them across quadrature nodes and bootstrap
 replicates.
 
 Solves go through an orthogonal factorization of the square-root-weighted
-design (never an explicit inverse).  A rank-deficient node falls back to a
-tiny ridge on the Gram matrix and is flagged ``regularized`` instead of
-aborting, so long bootstrap loops survive rare degenerate resamples without
-hiding the degradation.
+design, stacked over blocks of nodes (never the normal equations).  A
+rank-deficient node falls back to a tiny ridge on the Gram matrix and is
+flagged ``regularized`` instead of aborting, so long bootstrap loops survive
+rare degenerate resamples without hiding the degradation.
 """
 
 from __future__ import annotations
@@ -19,14 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .kernels import VON_MISES, DirectionalKernel, kernel_constants
-from .sphere import projection_basis
+from .sphere import tangent_bases
 
 WEIGHT_FLOOR = 1e-300
 RIDGE_FACTOR = 1e-10
 _RANK_TOL = 1e-10
+# nodes per stacked degree-1 factorization; bounds its memory at large m
+NODE_BLOCK = 512
 
 
 class SingularGramError(RuntimeError):
@@ -60,76 +61,7 @@ class LocalFit:
 
 def kernel_weights(x, predictors, cfg: LocalFitConfig) -> np.ndarray:
     """Raw kernel values L((1 - x.X_i)/h^2); denormals are clamped to zero."""
-    x = np.asarray(x, dtype=float)
-    predictors = np.asarray(predictors, dtype=float)
-    w = cfg.kernel((1.0 - predictors @ x) / cfg.bandwidth**2)
-    w[w < WEIGHT_FLOOR] = 0.0
-    return w
-
-
-def _check_size(n: int, q: int, cfg: LocalFitConfig) -> None:
-    if cfg.degree == 1 and n < q + 2:
-        raise ValueError(f"local linear fit needs n >= q+2 = {q + 2}, got {n}")
-    if n < 1:
-        raise ValueError("need at least one observation")
-
-
-def _linear_factorization(x, predictors, w, basis_columns):
-    """QR of the square-root-weighted design; ridge fallback when deficient.
-
-    Returns (weights_row, solve) where solve(y) gives the full coefficient
-    vector, plus the regularized flag.
-    """
-    centered = predictors - x
-    design = np.column_stack([np.ones(len(predictors)), centered @ basis_columns])
-    sw = np.sqrt(w)
-    a = design * sw[:, None]
-    q_mat, r_mat = np.linalg.qr(a)
-    diag = np.abs(np.diag(r_mat))
-    if np.all(np.isfinite(diag)) and diag.min() > _RANK_TOL * diag.max() > 0:
-        e1 = np.zeros(r_mat.shape[0])
-        e1[0] = 1.0
-        z = sla.solve_triangular(r_mat.T, e1, lower=True)
-        row = (q_mat @ z) * sw
-
-        def solve(y):
-            return sla.solve_triangular(r_mat, q_mat.T @ (sw * y), lower=False)
-
-        return row, solve, False
-    gram = a.T @ a
-    gram[np.diag_indices_from(gram)] += RIDGE_FACTOR * np.trace(gram) / gram.shape[0]
-    weighted = design.T * w[None, :]
-    inv_rows = np.linalg.solve(gram, weighted)
-
-    def solve_ridge(y):
-        return inv_rows @ y
-
-    return inv_rows[0], solve_ridge, True
-
-
-def _weights_at(x, predictors, cfg: LocalFitConfig, basis_columns=None, raw=None):
-    """Effective weights row at one point, with the regularized flag."""
-    w = kernel_weights(x, predictors, cfg) if raw is None else raw
-    if not np.any(w > 0):
-        raise SingularGramError(
-            "all kernel weights are numerically zero at the evaluation point"
-        )
-    if cfg.degree == 0:
-        return w / w.sum(), False
-    if basis_columns is None:
-        basis_columns = projection_basis(x).columns
-    row, _, regularized = _linear_factorization(
-        np.asarray(x, dtype=float), np.asarray(predictors, dtype=float), w, basis_columns
-    )
-    return row, regularized
-
-
-def local_weights(x, predictors, cfg: LocalFitConfig, basis_columns=None) -> np.ndarray:
-    """Effective response weights of the fitted value at x; they sum to 1."""
-    predictors = np.asarray(predictors, dtype=float)
-    _check_size(len(predictors), predictors.shape[1] - 1, cfg)
-    row, _ = _weights_at(x, predictors, cfg, basis_columns)
-    return row
+    return kernel_weight_matrix(np.asarray(x, dtype=float)[None], predictors, cfg)[0]
 
 
 def kernel_weight_matrix(nodes, predictors, cfg: LocalFitConfig) -> np.ndarray:
@@ -141,12 +73,79 @@ def kernel_weight_matrix(nodes, predictors, cfg: LocalFitConfig) -> np.ndarray:
     return w
 
 
+def _check_size(n: int, q: int, cfg: LocalFitConfig) -> None:
+    if cfg.degree == 1 and n < q + 2:
+        raise ValueError(f"local linear fit needs n >= q+2 = {q + 2}, got {n}")
+    if n < 1:
+        raise ValueError("need at least one observation")
+
+
+def _coefficient_weights(nodes, predictors, raw, degree: int):
+    """Coefficient weights of the local fits at a stack of nodes.
+
+    Returns (m, p, n) weights, so that ``weights[j] @ y`` is the coefficient
+    vector at node j (fitted value first, then the projected gradient), and
+    the (m,) mask of nodes where the ridge fallback fired.  Degree 1 takes one
+    stacked QR of the square-root-weighted designs, R^-1 Q^T scaled by the
+    root weights; a node whose R diagonal fails the rank test is solved with
+    a tiny ridge on its Gram matrix instead.
+    """
+    sums = raw.sum(axis=1)
+    if np.any(sums <= 0):
+        raise SingularGramError(
+            f"{int((sums <= 0).sum())} nodes have all-zero kernel weights"
+        )
+    if degree == 0:
+        return (raw / sums[:, None])[:, None, :], np.zeros(len(nodes), dtype=bool)
+    centered = predictors[None, :, :] - nodes[:, None, :]
+    tangent = centered @ tangent_bases(nodes)
+    design = np.concatenate([np.ones(tangent.shape[:2] + (1,)), tangent], axis=2)
+    sw = np.sqrt(raw)
+    a = design * sw[:, :, None]
+    q_mat, r_mat = np.linalg.qr(a)
+    diag = np.abs(np.diagonal(r_mat, axis1=1, axis2=2))
+    scale = _RANK_TOL * diag.max(axis=1)
+    flags = ~((diag.min(axis=1) > scale) & (scale > 0))
+    p = design.shape[2]
+    # flagged R factors may be exactly singular; an identity stands in for
+    # them until the ridge solve below overwrites their weights.  Inverting
+    # the small triangular factors is several times cheaper than a stacked
+    # solve with n right-hand sides; row 0 of R^-1 is the forward solve
+    # R^T z = e1 that gives the fitted-value weights.
+    r_mat[flags] = np.eye(p)
+    coef = (np.linalg.inv(r_mat) @ np.swapaxes(q_mat, 1, 2)) * sw[:, None, :]
+    a = a[flags]
+    gram = np.swapaxes(a, 1, 2) @ a
+    ridge = RIDGE_FACTOR * np.trace(gram, axis1=1, axis2=2) / p
+    gram[:, np.arange(p), np.arange(p)] += ridge[:, None]
+    weighted = np.swapaxes(design[flags], 1, 2) * raw[flags][:, None, :]
+    coef[flags] = np.linalg.solve(gram, weighted)
+    return coef, flags
+
+
+def _fit_at(x, predictors, cfg: LocalFitConfig):
+    """Coefficient weights (p, n) and the ridge flag at one point."""
+    x = np.asarray(x, dtype=float)[None]
+    predictors = np.asarray(predictors, dtype=float)
+    _check_size(len(predictors), predictors.shape[1] - 1, cfg)
+    raw = kernel_weight_matrix(x, predictors, cfg)
+    coef, flags = _coefficient_weights(x, predictors, raw, cfg.degree)
+    return coef[0], bool(flags[0])
+
+
+def local_weights(x, predictors, cfg: LocalFitConfig) -> np.ndarray:
+    """Effective response weights of the fitted value at x; they sum to 1."""
+    return _fit_at(x, predictors, cfg)[0][0]
+
+
 def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None):
     """Effective weights at many evaluation points.
 
     Returns an (m, n) matrix of rows and an (m,) mask of nodes where the
-    ridge fallback fired.  Degree 0 is fully vectorized; ``raw`` may carry a
-    precomputed kernel matrix to share with a density estimate.
+    ridge fallback fired.  Degree 0 is one vectorized division; degree 1
+    runs in blocks of ``NODE_BLOCK`` nodes, which bounds the memory of the
+    stacked factorizations.  ``raw`` may carry a precomputed kernel matrix to
+    share with a density estimate.
     """
     nodes = np.asarray(nodes, dtype=float)
     predictors = np.asarray(predictors, dtype=float)
@@ -154,45 +153,25 @@ def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None):
     if raw is None:
         raw = kernel_weight_matrix(nodes, predictors, cfg)
     if cfg.degree == 0:
-        sums = raw.sum(axis=1)
-        if np.any(sums <= 0):
-            raise SingularGramError(
-                f"{int((sums <= 0).sum())} nodes have all-zero kernel weights"
-            )
-        return raw / sums[:, None], np.zeros(len(nodes), dtype=bool)
-    rows = np.empty((len(nodes), len(predictors)))
-    flags = np.zeros(len(nodes), dtype=bool)
-    for j, x in enumerate(nodes):
-        rows[j], flags[j] = _weights_at(x, predictors, cfg, raw=raw[j])
+        coef, flags = _coefficient_weights(nodes, predictors, raw, 0)
+        return coef[:, 0], flags
+    rows = np.empty_like(raw)
+    flags = np.empty(len(nodes), dtype=bool)
+    for start in range(0, len(nodes), NODE_BLOCK):
+        block = slice(start, start + NODE_BLOCK)
+        coef, flags[block] = _coefficient_weights(
+            nodes[block], predictors, raw[block], 1
+        )
+        rows[block] = coef[:, 0]
     return rows, flags
 
 
 def estimate(x, predictors, responses, cfg: LocalFitConfig) -> LocalFit:
     """Fit the projected local model at x and return value, gradient, weights."""
-    predictors = np.asarray(predictors, dtype=float)
-    responses = np.asarray(responses, dtype=float)
-    q = predictors.shape[1] - 1
-    _check_size(len(predictors), q, cfg)
-    w = kernel_weights(x, predictors, cfg)
-    if not np.any(w > 0):
-        raise SingularGramError(
-            "all kernel weights are numerically zero at the evaluation point"
-        )
-    if cfg.degree == 0:
-        row = w / w.sum()
-        return LocalFit(
-            value=float(row @ responses), gradient=np.empty(0), weights=row
-        )
-    basis = projection_basis(x)
-    row, solve, regularized = _linear_factorization(
-        np.asarray(x, dtype=float), predictors, w, basis.columns
-    )
-    beta = solve(responses)
+    coef, regularized = _fit_at(x, predictors, cfg)
+    beta = coef @ np.asarray(responses, dtype=float)
     return LocalFit(
-        value=float(row @ responses),
-        gradient=np.asarray(beta[1:]),
-        weights=row,
-        regularized=regularized,
+        value=float(beta[0]), gradient=beta[1:], weights=coef[0], regularized=regularized
     )
 
 
@@ -253,56 +232,3 @@ def asymptotic_bias_variance(
     bias = (consts.moment_ratio / q) * curvature * cfg.bandwidth**2
     variance = consts.variance_factor * sigma2 / (n * cfg.bandwidth**q * density)
     return bias, variance
-
-
-def circular_local_linear(
-    eval_angles, data_angles, responses, h: float, kernel: DirectionalKernel = VON_MISES
-) -> np.ndarray:
-    """Closed-form degree 1 fit on the circle from sine-moment sums."""
-    eval_angles = np.atleast_1d(np.asarray(eval_angles, dtype=float))
-    data_angles = np.asarray(data_angles, dtype=float)
-    responses = np.asarray(responses, dtype=float)
-    diff = data_angles[None, :] - eval_angles[:, None]
-    lw = kernel((1.0 - np.cos(diff)) / h**2)
-    sin_d = np.sin(diff)
-    s0 = lw.sum(axis=1)
-    s1 = (lw * sin_d).sum(axis=1)
-    s2 = (lw * sin_d**2).sum(axis=1)
-    t0 = lw @ responses
-    t1 = (lw * sin_d) @ responses
-    return (s2 * t0 - s1 * t1) / (s2 * s0 - s1**2)
-
-
-def spherical_local_linear(
-    eval_angles, data_angles, responses, h: float, kernel: DirectionalKernel = VON_MISES
-) -> np.ndarray:
-    """Closed-form degree 1 fit on the 2-sphere from angular moment sums.
-
-    Angles are (azimuth, polar) pairs for the embedding
-    (sin(polar) cos(azimuth), sin(polar) sin(azimuth), cos(polar)).
-    """
-    eval_angles = np.atleast_2d(np.asarray(eval_angles, dtype=float))
-    data_angles = np.asarray(data_angles, dtype=float)
-    responses = np.asarray(responses, dtype=float)
-    theta, phi = eval_angles[:, 0][:, None], eval_angles[:, 1][:, None]
-    big_theta, big_phi = data_angles[:, 0][None, :], data_angles[:, 1][None, :]
-    cos_dt = np.cos(big_theta - theta)
-    lw = kernel(
-        (1.0 - np.sin(phi) * np.sin(big_phi) * cos_dt - np.cos(phi) * np.cos(big_phi))
-        / h**2
-    )
-    u = np.sin(big_phi) * np.sin(big_theta - theta)
-    v = -np.cos(phi) * np.sin(big_phi) * cos_dt + np.sin(phi) * np.cos(big_phi)
-
-    def s(j, k):
-        return (lw * u**j * v**k).sum(axis=1)
-
-    def t(j, k):
-        return (lw * u**j * v**k) @ responses
-
-    c0 = s(2, 0) * s(0, 2) - s(1, 1) ** 2
-    c1 = s(1, 0) * s(0, 2) - s(0, 1) * s(1, 1)
-    c2 = s(1, 0) * s(1, 1) - s(0, 1) * s(2, 0)
-    numer = c0 * t(0, 0) - c1 * t(1, 0) + c2 * t(0, 1)
-    denom = c0 * s(0, 0) - c1 * s(1, 0) + c2 * s(0, 1)
-    return numer / denom

@@ -62,32 +62,46 @@ class ProjectionBasis:
     columns: np.ndarray
 
 
-def projection_basis(x) -> ProjectionBasis:
-    """Deterministic orthonormal completion of x via Gram-Schmidt.
+def _row_dots(a, b) -> np.ndarray:
+    """Row-wise inner products as an (m, 1) column, each summed like a 1-D dot."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0]
 
-    Canonical basis vectors are orthogonalized in index order, skipping the
-    index of the largest |x_i| so the pivot is never near-degenerate.  Any
-    fixed rule is valid (local fits are invariant to the basis choice); a
-    deterministic one keeps results reproducible.
+
+def tangent_bases(points) -> np.ndarray:
+    """Deterministic orthonormal tangent bases of stacked points, (m, q+1, q).
+
+    Per row, canonical basis vectors are orthogonalized in index order,
+    skipping the index of the largest |x_i| so the pivot is never
+    near-degenerate.  Any fixed rule is valid (local fits are invariant to
+    the basis choice); a deterministic one keeps results reproducible.
     """
-    x = unit_vector(x, atol=1e-12)
-    d = x.size
-    skip = int(np.argmax(np.abs(x)))
-    basis = [x]
-    cols = []
-    for i in range(d):
-        if i == skip:
-            continue
-        v = np.zeros(d)
-        v[i] = 1.0
+    pts = np.asarray(points, dtype=float)
+    unit_rows(pts, atol=1e-12)
+    # normalized like unit_vector, so one row matches projection_basis's base point
+    pts = pts / np.sqrt(_row_dots(pts, pts))
+    m, d = pts.shape
+    skip = np.argmax(np.abs(pts), axis=1)
+    order = np.arange(d - 1)
+    others = order + (order >= skip[:, None])
+    basis = [pts]
+    for k in range(d - 1):
+        v = np.zeros((m, d))
+        v[np.arange(m), others[:, k]] = 1.0
         # two Gram-Schmidt sweeps for orthogonality well below 1e-10
         for _ in range(2):
             for b in basis:
-                v = v - (b @ v) * b
-        v /= np.linalg.norm(v)
+                v = v - _row_dots(b, v) * b
+        v /= np.sqrt(_row_dots(v, v))
         basis.append(v)
-        cols.append(v)
-    return ProjectionBasis(base_point=x, columns=np.column_stack(cols))
+    return np.stack(basis[1:], axis=2)
+
+
+def projection_basis(x) -> ProjectionBasis:
+    """Tangent basis of one point: the one-row case of ``tangent_bases``."""
+    x = np.asarray(x, dtype=float)
+    return ProjectionBasis(
+        base_point=unit_vector(x, atol=1e-12), columns=tangent_bases(x[None])[0]
+    )
 
 
 def tangent_normal_point(x, t: float, xi) -> np.ndarray:

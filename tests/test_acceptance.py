@@ -13,6 +13,7 @@ from math import pi, sqrt
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from scipy import special, stats
 
@@ -106,7 +107,7 @@ def test_criterion_2_closed_form_oracles(rng):
             predictors = np.column_stack([np.cos(angles), np.sin(angles)])
             responses = rng.standard_normal(n)
             a = float(rng.uniform(0.0, 2.0 * pi))
-            closed = locreg.circular_local_linear(a, angles, responses, h)[0]
+            closed = oracles.circular_local_linear(a, angles, responses, h)[0]
             generic = locreg.estimate(
                 np.array([np.cos(a), np.sin(a)]),
                 predictors,
@@ -130,7 +131,7 @@ def test_criterion_2_closed_form_oracles(rng):
             eval_angles = np.array(
                 [[np.arctan2(x[1], x[0]), np.arccos(np.clip(x[2], -1.0, 1.0))]]
             )
-            closed = locreg.spherical_local_linear(eval_angles, angles, responses, h)[0]
+            closed = oracles.spherical_local_linear(eval_angles, angles, responses, h)[0]
             generic = locreg.estimate(
                 x, predictors, responses, locreg.LocalFitConfig(1, h)
             ).value

@@ -187,6 +187,16 @@ def test_custom_scenario_validation(tmp_path):
     assert run_main(*base) == cli.EXIT_DATA_ERROR  # no theta0
     assert run_main(*base, "--theta0", "0.5") == cli.EXIT_DATA_ERROR  # no design
     assert run_main(*base, "--theta0", "0.5", "--design", "1.0:2.0:0,1,0") == cli.EXIT_DATA_ERROR
+    assert run_main(*base, "--theta0", "0.5", "--design", "x:1:0,1") == cli.EXIT_DATA_ERROR
+    wide = tmp_path / "wide.csv"
+    wide.write_text("1,0,0\n")
+    words = tmp_path / "words.csv"
+    words.write_text("1,a\n")
+    for constraint in (wide, words):
+        assert run_main(
+            *base, "--family", "constrained-linear", "--constraint", str(constraint),
+            "--theta0", "0.5,0.5", "--design", "M1",
+        ) == cli.EXIT_DATA_ERROR
 
 
 def test_trace_default_grid_emits_full_rows(tmp_path):

@@ -1,6 +1,7 @@
 from math import pi, sqrt
 
 import numpy as np
+import oracles
 import pytest
 
 from dirgof import locreg
@@ -78,7 +79,7 @@ def test_closed_form_circle_agreement(rng):
     responses = np.sin(2.0 * angles) + 0.3 * rng.standard_normal(50)
     cfg = locreg.LocalFitConfig(degree=1, bandwidth=0.35)
     eval_angles = rng.uniform(0.0, 2.0 * pi, 25)
-    closed = locreg.circular_local_linear(eval_angles, angles, responses, 0.35)
+    closed = oracles.circular_local_linear(eval_angles, angles, responses, 0.35)
     generic = [
         locreg.estimate(circle(a)[0], circle(angles), responses, cfg).value
         for a in eval_angles
@@ -99,7 +100,7 @@ def test_closed_form_sphere_agreement(rng):
         ]
     )
     cfg = locreg.LocalFitConfig(degree=1, bandwidth=0.45)
-    closed = locreg.spherical_local_linear(
+    closed = oracles.spherical_local_linear(
         eval_angles, np.column_stack([azim, polar]), responses, 0.45
     )
     generic = [locreg.estimate(x, predictors, responses, cfg).value for x in eval_points]
@@ -111,13 +112,14 @@ def test_basis_choice_invariance(rng):
     cfg = locreg.LocalFitConfig(degree=1, bandwidth=0.5)
     base = projection_basis(x).columns
     rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    sw = np.sqrt(locreg.kernel_weights(x, predictors, cfg))
+    design = np.column_stack([np.ones(80), (predictors - x) @ (base @ rotation)])
+    # weighted least squares on the rotated-basis design, one unit response per column
+    coef_rot = np.linalg.lstsq(design * sw[:, None], np.diag(sw), rcond=None)[0]
     w_ref = locreg.local_weights(x, predictors, cfg)
-    w_rot = locreg.local_weights(x, predictors, cfg, basis_columns=base @ rotation)
-    assert np.max(np.abs(w_ref - w_rot)) < 1e-10
+    assert np.max(np.abs(w_ref - coef_rot[0])) < 1e-10
     fit_ref = locreg.estimate(x, predictors, responses, cfg)
-    grad_rot = np.linalg.lstsq(
-        base @ rotation, base @ fit_ref.gradient, rcond=None
-    )[0]
+    grad_rot = coef_rot[1:] @ responses
     assert np.allclose(rotation @ grad_rot, fit_ref.gradient, atol=1e-9)
 
 
@@ -275,3 +277,60 @@ def test_config_validation():
         locreg.LocalFitConfig(degree=2, bandwidth=0.5)
     with pytest.raises(ValueError):
         locreg.LocalFitConfig(degree=0, bandwidth=-1.0)
+
+
+def reference_rows(nodes, predictors, cfg):
+    """Per-node weighted least squares with the rank test and ridge fallback."""
+    rows, flags = [], []
+    for x in nodes:
+        w = locreg.kernel_weights(x, predictors, cfg)
+        if cfg.degree == 0:
+            rows.append(w / w.sum())
+            flags.append(False)
+            continue
+        design = np.column_stack(
+            [np.ones(len(predictors)), (predictors - x) @ projection_basis(x).columns]
+        )
+        a = design * np.sqrt(w)[:, None]
+        diag = np.abs(np.diag(np.linalg.qr(a)[1]))
+        flagged = not diag.min() > 1e-10 * diag.max() > 0
+        if flagged:
+            gram = a.T @ a
+            gram += locreg.RIDGE_FACTOR * np.trace(gram) / len(gram) * np.eye(len(gram))
+            rows.append(np.linalg.solve(gram, design.T * w)[0])
+        else:
+            rows.append(np.linalg.pinv(a)[0] * np.sqrt(w))
+        flags.append(flagged)
+    return np.array(rows), np.array(flags)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_weight_rows_match_per_node_least_squares(q, degree, rng):
+    """Blocked rows against per-node solves, across a block boundary.
+
+    Data sit in a cap around the north pole plus four copies of the south
+    pole.  Nodes in the cap have full-rank local designs; the kernel weights
+    of nodes near the south pole vanish on the cap, so their designs see only
+    the copies, have rank one and take the ridge fallback.  Both kinds are
+    shuffled through every block.
+    """
+    def around(pole, spread, count):
+        points = pole + spread * rng.standard_normal((count, q + 1))
+        return points / np.linalg.norm(points, axis=1, keepdims=True)
+
+    north = np.eye(q + 1)[-1]
+    predictors = np.vstack([around(north, 0.08, 60), np.tile(-north, (4, 1))])
+    m = locreg.NODE_BLOCK + 100
+    nodes = np.vstack([around(north, 0.05, m - 60), around(-north, 0.05, 60)])
+    nodes = nodes[rng.permutation(m)]
+    cfg = locreg.LocalFitConfig(degree=degree, bandwidth=0.04)
+    rows, flags = locreg.weight_rows(nodes, predictors, cfg)
+    ref_rows, ref_flags = reference_rows(nodes, predictors, cfg)
+    assert np.array_equal(flags, ref_flags)
+    if degree == 1:
+        first = flags[: locreg.NODE_BLOCK]
+        assert first.any() and not first.all()
+        assert flags[locreg.NODE_BLOCK:].any()
+    scale = np.abs(ref_rows).max(axis=1, keepdims=True)
+    assert np.max(np.abs(rows - ref_rows) / scale) < 1e-10

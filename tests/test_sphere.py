@@ -43,10 +43,12 @@ def test_projection_basis_north_pole():
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5])
 def test_projection_basis_invariants_random(q, rng):
-    for _ in range(250):
-        x = sphere.sample_uniform(q, 1, rng)[0]
+    points = sphere.sample_uniform(q, 250, rng)
+    stacked = sphere.tangent_bases(points)
+    for x, rows_basis in zip(points, stacked):
         basis = sphere.projection_basis(x)
         cols = basis.columns
+        assert np.array_equal(rows_basis, cols)
         assert np.max(np.abs(cols.T @ cols - np.eye(q))) < 1e-10
         assert np.max(np.abs(cols.T @ x)) < 1e-10
         assert np.max(np.abs(cols @ cols.T - (np.eye(q + 1) - np.outer(x, x)))) < 1e-10
