@@ -86,18 +86,20 @@ class NodeCache:
         return int(self.regularized.sum())
 
 
-def node_cache(predictors, cfg: GofConfig) -> NodeCache:
-    """Weight rows and the density/weight/quadrature factor at every node."""
+def node_cache(predictors, cfg: GofConfig, gaps=None) -> NodeCache:
+    """Weight rows and the density/weight/quadrature factor at every node;
+    ``gaps`` as in ``locreg.kernel_weight_matrix``, shared by a bandwidth grid."""
     predictors = np.asarray(predictors, dtype=float)
-    n, dim = predictors.shape
-    q = dim - 1
+    q = predictors.shape[1] - 1
     nodes = cfg.quadrature.nodes
-    raw = locreg.kernel_weight_matrix(nodes, predictors, cfg.fit)
+    raw = locreg.kernel_weight_matrix(nodes, predictors, cfg.fit, gaps=gaps)
     rows, flags = locreg.weight_rows(nodes, predictors, cfg.fit, raw=raw)
     fhat = normalizing_constant(cfg.fit.kernel, q, cfg.fit.bandwidth) * raw.mean(axis=1)
     wvals = np.ones(len(nodes)) if cfg.weight_fn is None else np.asarray(
         cfg.weight_fn(nodes), dtype=float
     )
+    if not np.all((wvals >= 0) & (wvals < np.inf)):
+        raise ValueError("weight_fn must return finite, non-negative values")
     return NodeCache(
         rows=rows,
         node_factor=cfg.quadrature.weights * fhat * wvals,
@@ -108,17 +110,18 @@ def node_cache(predictors, cfg: GofConfig) -> NodeCache:
 def statistic_from_residuals(cache: NodeCache, residuals) -> np.ndarray | float:
     """Quadrature of the squared smoothed residuals; rows of a matrix batch.
 
-    A batch of r rows over n points and m nodes is the quadratic form
-    e G e^T with the n x n Gram matrix G = R^T diag(f) R; it is evaluated
-    that way when it takes fewer flops, n (m + r) < m r, and otherwise by
-    smoothing every row at every node.
+    A batch of r rows over n points and m nodes is the quadratic form e G e^T
+    with the n x n Gram matrix G = S^T S, S = diag(sqrt(f)) R (a syrk, f >= 0);
+    it is evaluated that way when it takes fewer flops, n (m + 2 r) < 2 m r,
+    and otherwise by smoothing every row at every node.
     """
     residuals = np.asarray(residuals, dtype=float)
     if residuals.ndim == 1:
         return float(cache.node_factor @ (cache.rows @ residuals) ** 2)
     (m, n), r = cache.rows.shape, residuals.shape[0]
-    if n * (m + r) < m * r:
-        gram = (cache.rows.T * cache.node_factor) @ cache.rows
+    if n * (m + 2 * r) < 2 * m * r:
+        root = cache.rows * np.sqrt(cache.node_factor)[:, None]
+        gram = root.T @ root
         return np.einsum("bi,bi->b", residuals @ gram, residuals)
     return cache.node_factor @ (cache.rows @ residuals.T) ** 2
 

@@ -30,7 +30,9 @@ class InadmissibleKernelError(ValueError):
 
 
 def _von_mises_profile(r):
-    return np.exp(-np.asarray(r, dtype=float))
+    # one fresh array, negated and exponentiated in place: exp(-r) bit for bit
+    out = np.array(r, dtype=float)
+    return np.exp(np.negative(out, out=out), out=out)[()]
 
 
 @dataclass(frozen=True)

@@ -64,11 +64,12 @@ def kernel_weights(x, predictors, cfg: LocalFitConfig) -> np.ndarray:
     return kernel_weight_matrix(np.asarray(x, dtype=float)[None], predictors, cfg)[0]
 
 
-def kernel_weight_matrix(nodes, predictors, cfg: LocalFitConfig) -> np.ndarray:
-    """Raw kernel values between evaluation points (rows) and the sample."""
-    nodes = np.asarray(nodes, dtype=float)
-    predictors = np.asarray(predictors, dtype=float)
-    w = cfg.kernel((1.0 - nodes @ predictors.T) / cfg.bandwidth**2)
+def kernel_weight_matrix(nodes, predictors, cfg: LocalFitConfig, gaps=None) -> np.ndarray:
+    """Raw kernel values between evaluation points (rows) and the sample;
+    ``gaps`` may carry the h-free chordal gaps ``1 - nodes @ predictors.T``."""
+    if gaps is None:
+        gaps = 1.0 - np.asarray(nodes, dtype=float) @ np.asarray(predictors, dtype=float).T
+    w = cfg.kernel(gaps / cfg.bandwidth**2)
     w[w < WEIGHT_FLOOR] = 0.0
     return w
 
@@ -114,11 +115,13 @@ def _coefficient_weights(nodes, predictors, raw, degree: int):
     # R^T z = e1 that gives the fitted-value weights.
     r_mat[flags] = np.eye(p)
     coef = (np.linalg.inv(r_mat) @ np.swapaxes(q_mat, 1, 2)) * sw[:, None, :]
-    a = a[flags]
+    # exact power-of-4 rescale to peak ~1: the Gram cannot underflow, the ridge scales along
+    peaked = np.ldexp(raw[flags], -2 * (np.frexp(raw[flags].max(axis=1))[1] // 2)[:, None])
+    a = design[flags] * np.sqrt(peaked)[:, :, None]
     gram = np.swapaxes(a, 1, 2) @ a
     ridge = RIDGE_FACTOR * np.trace(gram, axis1=1, axis2=2) / p
     gram[:, np.arange(p), np.arange(p)] += ridge[:, None]
-    weighted = np.swapaxes(design[flags], 1, 2) * raw[flags][:, None, :]
+    weighted = np.swapaxes(design[flags], 1, 2) * peaked[:, None, :]
     coef[flags] = np.linalg.solve(gram, weighted)
     return coef, flags
 

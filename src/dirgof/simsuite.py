@@ -232,6 +232,8 @@ def _trial_p_values(args) -> np.ndarray:
     # a local alternative adds its h-dependent drift to null responses
     predictors, responses = generate(scenario, n, rng, under_null=under_null or local_alternative)
     multipliers = goftest.golden_section_draws((bootstrap, n), rng)
+    # the chordal gaps do not depend on h: one (m, n) block serves the grid
+    gaps = 1.0 - quadrature.nodes @ predictors.T
     out = np.empty(len(h_grid))
     residuals = None
     for i, h in enumerate(h_grid):
@@ -248,7 +250,7 @@ def _trial_p_values(args) -> np.ndarray:
                 drift = local_alternative_scale(n, h, scenario.q) * scenario.deviation_coef
                 y = responses + drift * _DEVIATIONS[scenario.deviation](predictors)
             _, residuals, _ = goftest.null_bootstrap(predictors, y, scenario.family, cfg, multipliers)
-        values = goftest.statistic_from_residuals(goftest.node_cache(predictors, cfg), residuals)
+        values = goftest.statistic_from_residuals(goftest.node_cache(predictors, cfg, gaps), residuals)
         out[i] = np.mean(values[0] <= values[1:])
     return out
 

@@ -52,6 +52,14 @@ def test_statistic_zero_weight_function(rng):
     assert value == 0.0
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_node_cache_rejects_bad_weight_values(bad, rng):
+    predictors, _ = sample_constant_model(rng)
+    cfg = make_cfg(weight_fn=lambda nodes: np.where(nodes[:, 0] > 0.9, bad, 1.0))
+    with pytest.raises(ValueError, match="weight_fn"):
+        goftest.node_cache(predictors, cfg)
+
+
 @pytest.mark.parametrize("degree", [0, 1])
 def test_residual_form_equals_direct_form(degree, rng):
     for _ in range(10):
@@ -73,13 +81,17 @@ def test_residual_form_equals_direct_form(degree, rng):
     "weight_fn", [None, lambda nodes: 1.0 + nodes[:, 0] ** 2], ids=["unweighted", "weighted"]
 )
 @pytest.mark.parametrize("degree", [0, 1])
-@pytest.mark.parametrize("n, r", [(60, 400), (60, 20), (400, 30)])
+@pytest.mark.parametrize("n, r", [(60, 400), (60, 60), (60, 20), (400, 30)])
 def test_gram_and_direct_forms_agree(n, r, degree, weight_fn, rng):
-    """Both sides of the Gram-form switch n (m + r) < m r, with m = 256 nodes."""
+    """Both sides of the Gram-form switch n (m + 2 r) < 2 m r, with m = 256 nodes.
+
+    (60, 60) takes the Gram form under this rule and the direct form under
+    the general-product rule n (m + r) < m r.
+    """
     predictors, _ = sample_constant_model(rng, n=n)
     cache = goftest.node_cache(predictors, make_cfg(degree=degree, weight_fn=weight_fn))
     m = cache.rows.shape[0]
-    assert (n * (m + r) < m * r) == (r == 400)
+    assert (n * (m + 2 * r) < 2 * m * r) == (r in (400, 60))
     residuals = rng.standard_normal((r, n))
     batch = goftest.statistic_from_residuals(cache, residuals)
     direct = cache.node_factor @ (cache.rows @ residuals.T) ** 2

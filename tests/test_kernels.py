@@ -11,6 +11,15 @@ def vm_scale_exact(q):
     return 2.0 ** (q / 2.0 - 1.0) * surface_area(q - 1) * gamma(q / 2.0)
 
 
+def test_von_mises_profile_is_exp_of_minus_r_bit_for_bit(rng):
+    r = rng.uniform(0.0, 800.0, (50, 40))
+    kept = r.copy()
+    assert np.array_equal(kernels._von_mises_profile(r), np.exp(-r))
+    assert np.array_equal(r, kept)
+    value = kernels._von_mises_profile(0.7)
+    assert type(value) is np.float64 and value == np.exp(-0.7)
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_von_mises_constants_match_closed_forms(q):
     consts = kernels.kernel_constants(kernels.VON_MISES, q)

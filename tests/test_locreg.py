@@ -4,7 +4,7 @@ import numpy as np
 import oracles
 import pytest
 
-from dirgof import locreg
+from dirgof import goftest, locreg, simsuite
 from dirgof.density import density_sample, uniform_model
 from dirgof.kernels import VON_MISES, directional_kernel, kernel_constants
 from dirgof.sphere import projection_basis, sample_uniform
@@ -334,3 +334,40 @@ def test_weight_rows_match_per_node_least_squares(q, degree, rng):
         assert flags[locreg.NODE_BLOCK:].any()
     scale = np.abs(ref_rows).max(axis=1, keepdims=True)
     assert np.max(np.abs(rows - ref_rows) / scale) < 1e-10
+
+
+def test_kernel_matrix_from_cached_gaps_is_bit_identical(rng):
+    predictors = sample_uniform(2, 120, rng)
+    nodes = sample_uniform(2, 300, rng)
+    gaps = 1.0 - nodes @ predictors.T
+    for h in np.geomspace(0.04, 1.5, 20):
+        cfg = locreg.LocalFitConfig(degree=0, bandwidth=float(h))
+        cached = locreg.kernel_weight_matrix(nodes, predictors, cfg, gaps=gaps)
+        assert np.array_equal(cached, locreg.kernel_weight_matrix(nodes, predictors, cfg))
+
+
+def test_ridge_rows_finite_where_kernel_weights_sit_at_the_floor():
+    """S4 nodes whose kernel weights are all near WEIGHT_FLOOR.
+
+    The Gram matrix of their root-weighted design underflows unless the
+    ridge solve rescales the weights; an exact power-of-two rescale of the
+    kernel matrix must leave the flagged rows bit for bit as they are.
+    """
+    predictors, _ = simsuite.generate(
+        simsuite.make_scenario("S4", 2), 250, np.random.default_rng(123)
+    )
+    cfg = locreg.LocalFitConfig(degree=1, bandwidth=0.04)
+    nodes = goftest.default_quadrature(2).nodes
+    raw = locreg.kernel_weight_matrix(nodes, predictors, cfg)
+    mass = raw.sum(axis=1) > 0
+    nodes, raw = nodes[mass], raw[mass]
+    rows, flags = locreg.weight_rows(nodes, predictors, cfg, raw=raw)
+    assert (len(nodes), flags.sum()) == (2216, 1067)
+    assert np.all(np.isfinite(rows))
+    scaled, scaled_flags = locreg.weight_rows(nodes, predictors, cfg, raw=raw * 2.0**600)
+    assert np.array_equal(scaled_flags, flags)
+    assert np.array_equal(scaled[flags], rows[flags])
+    ref_rows, ref_flags = reference_rows(nodes[~flags], predictors, cfg)
+    assert not ref_flags.any()
+    scale = np.abs(ref_rows).max(axis=1, keepdims=True)
+    assert np.max(np.abs(rows[~flags] - ref_rows) / scale) < 1e-10
