@@ -137,7 +137,11 @@ def _fit_at(x, predictors, cfg: LocalFitConfig):
 
 
 def local_weights(x, predictors, cfg: LocalFitConfig) -> np.ndarray:
-    """Effective response weights of the fitted value at x; they sum to 1."""
+    """Effective response weights of the fitted value at x.
+
+    They sum to 1 at an unregularized node; at a node where the ridge
+    fallback fired they need not (a sum between 0.5 and 1 is common).
+    """
     return _fit_at(x, predictors, cfg)[0][0]
 
 

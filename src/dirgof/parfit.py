@@ -2,14 +2,18 @@
 
 Families that are linear in the parameter (constant, linear, constrained
 linear, the fixed-frequency trigonometric family) are solved in closed form
-through a QR factorization; the damped-sine family goes through damped
-Gauss-Newton (Levenberg-Marquardt) seeded by a coarse grid search.  All
-built-in families are assembled from module-level functions and partials so
-scenario objects can cross process boundaries.
+through a QR factorization; the damped-sine family and custom families go
+through damped Gauss-Newton (Levenberg-Marquardt), the damped sine seeded by
+a coarse grid search.  One lock-step solver refits all rows of a response
+block at once (the B bootstrap replicates, or the seeds of a single fit),
+bit-identical to fitting each row alone.  All built-in families are
+assembled from module-level functions and partials so scenario objects can
+cross process boundaries.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from math import pi
@@ -28,7 +32,9 @@ class ParametricFamily:
     """Regression family m_theta with analytic parameter gradient.
 
     ``design`` is set for families linear in theta (prediction = design @
-    theta) and enables the closed-form fit and batched refits.
+    theta) and enables the closed-form fit and batched refits.  Without it,
+    ``predict`` and ``grad_theta`` also take a (R, dim_theta) parameter stack
+    and return (R, n) predictions and (R, n, dim_theta) Jacobians.
     """
 
     kind: str
@@ -96,18 +102,21 @@ def _damped_sine_phase(points):
 
 
 def _damped_sine_predict(theta, points):
-    points = np.atleast_2d(points)
-    c, a, b = theta
-    return c + a * np.sin(2.0 * pi * b * _damped_sine_phase(points))
+    """Predictions (..., n) for parameters (..., 3): one row per stacked theta."""
+    theta = np.asarray(theta, dtype=float)
+    u = _damped_sine_phase(np.atleast_2d(points))
+    phase = (2.0 * pi * theta[..., 2])[..., None] * u
+    return theta[..., 0, None] + theta[..., 1, None] * np.sin(phase)
 
 
 def _damped_sine_grad(theta, points):
-    points = np.atleast_2d(points)
-    _, a, b = theta
-    u = _damped_sine_phase(points)
-    phase = 2.0 * pi * b * u
-    return np.column_stack(
-        [np.ones(points.shape[0]), np.sin(phase), a * np.cos(phase) * 2.0 * pi * u]
+    """Jacobians (..., n, 3) for parameters (..., 3)."""
+    theta = np.asarray(theta, dtype=float)
+    u = _damped_sine_phase(np.atleast_2d(points))
+    phase = (2.0 * pi * theta[..., 2])[..., None] * u
+    return np.stack(
+        [np.ones_like(phase), np.sin(phase), theta[..., 1, None] * np.cos(phase) * 2.0 * pi * u],
+        axis=-1,
     )
 
 
@@ -165,9 +174,21 @@ def damped_sine_family(q: int) -> ParametricFamily:
     )
 
 
+def _one_theta_at_a_time(fn, theta, points):
+    """Apply a one-parameter callable to each row of a (R, k) parameter stack."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 1:
+        return fn(theta, points)
+    return np.stack([fn(row, points) for row in theta])
+
+
 def custom_family(predict, grad_theta, dim_theta, kind="custom") -> ParametricFamily:
+    """Family from one-parameter callables ``predict(theta, points) -> (n,)``
+    and ``grad_theta(theta, points) -> (n, dim_theta)``; the solver's
+    stacked parameters are passed to them one row at a time."""
     return ParametricFamily(
-        kind=kind, dim_theta=dim_theta, predict=predict, grad_theta=grad_theta
+        kind, dim_theta, partial(_one_theta_at_a_time, predict),
+        partial(_one_theta_at_a_time, grad_theta),
     )
 
 
@@ -201,51 +222,83 @@ def _grid_init_damped_sine(family, points, responses):
     return best[1]
 
 
+def _row_dots(left, right):
+    """Row-wise dot products of two (R, n) stacks, one BLAS dot per row."""
+    return (left[:, None, :] @ right[:, :, None])[:, 0, 0]
+
+
+def _damped_steps(damped, rhs):
+    """Solve stacked damped systems.  A singular one gets a zero step, which
+    cannot lower the objective, so its row is rejected and lambda goes up."""
+    try:
+        return np.linalg.solve(damped, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(rhs)
+        for i in range(len(rhs)):
+            with suppress(np.linalg.LinAlgError):
+                steps[i] = np.linalg.solve(damped[i], rhs[i])
+        return steps
+
+
 def _levenberg_marquardt(family, points, responses, theta0, max_iter=200, gtol=1e-8):
-    theta = np.asarray(theta0, dtype=float).copy()
+    """Levenberg-Marquardt on every row of a (R, n) response stack at once.
+
+    Each row keeps its own theta, objective and damping lambda: a step that
+    lowers the objective divides lambda by 10 (floor 1e-12), a rejected step
+    or a singular system multiplies it by 10, and past 1e12 the row gives up.
+    Stacked products and solves make the same BLAS and LAPACK calls per row
+    as 2-D ones, so each row is bit-identical to a fit of that row alone.
+    Returns a ThetaEstimate of stacked (R, ...) arrays.
+    """
+    rows = responses.shape[0]
+    theta = np.array(np.broadcast_to(theta0, (rows, family.dim_theta)), dtype=float)
     resid = responses - predict_batch(family, theta, points)
-    objective = float(resid @ resid)
-    lam = 1e-3
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        jac = family.grad_theta(theta, points)
-        grad = 2.0 * (jac.T @ resid)
-        if np.linalg.norm(grad) <= gtol:
-            converged = True
+    objective = _row_dots(resid, resid)
+    lam = np.full(rows, 1e-3)
+    converged = np.zeros(rows, dtype=bool)
+    iterations = np.zeros(rows, dtype=int)
+    active = np.arange(rows)
+    diag = np.arange(family.dim_theta)
+    for it in range(1, max_iter + 1):
+        if active.size == 0:
             break
-        hess = jac.T @ jac
-        scale = np.diag(hess).copy()
+        iterations[active] = it
+        jac = family.grad_theta(theta[active], points)
+        jtr = (jac.transpose(0, 2, 1) @ resid[active][:, :, None])[:, :, 0]
+        grad = 2.0 * jtr
+        gnorm = np.sqrt(_row_dots(grad, grad))
+        converged[active[gnorm <= gtol]] = True
+        moving = gnorm > gtol
+        active, jac, jtr, gnorm = active[moving], jac[moving], jtr[moving], gnorm[moving]
+        # a transposed view of the same buffer, like the 2-D jac.T, so numpy
+        # picks the same BLAS routine for each row
+        hess = jac.transpose(0, 2, 1) @ jac
+        scale = hess[:, diag, diag].copy()
         scale[scale <= 0] = 1.0
-        accepted = False
-        while lam <= 1e12:
-            try:
-                step = np.linalg.solve(hess + lam * np.diag(scale), jac.T @ resid)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = theta + step
-            cand_resid = responses - predict_batch(family, cand, points)
-            cand_obj = float(cand_resid @ cand_resid)
-            if cand_obj < objective:
-                theta, resid, objective = cand, cand_resid, cand_obj
-                lam = max(lam / 10.0, 1e-12)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            # no downhill step within float precision; stationary if the
-            # gradient is negligible on the scale of the objective (a stuck
-            # solver far from a minimum carries a gradient of order n)
-            converged = np.linalg.norm(grad) <= 1e-3 * (1.0 + objective)
-            break
-    return ThetaEstimate(
-        theta=theta,
-        residuals=resid,
-        converged=converged,
-        iterations=iterations,
-        objective=objective,
-    )
+        damping = np.zeros_like(hess)
+        damping[:, diag, diag] = scale
+        accepted = np.zeros(active.size, dtype=bool)
+        pending = np.arange(active.size)
+        while pending.size:
+            idx = active[pending]
+            damped = hess[pending] + lam[idx][:, None, None] * damping[pending]
+            cand = theta[idx] + _damped_steps(damped, jtr[pending])
+            cand_resid = responses[idx] - predict_batch(family, cand, points)
+            cand_obj = _row_dots(cand_resid, cand_resid)
+            better = cand_obj < objective[idx]
+            won = idx[better]
+            theta[won], resid[won], objective[won] = cand[better], cand_resid[better], cand_obj[better]
+            lam[won] = np.maximum(lam[won] / 10.0, 1e-12)
+            lam[idx[~better]] *= 10.0
+            accepted[pending[better]] = True
+            pending = pending[~better & (lam[idx] <= 1e12)]
+        # no downhill step within float precision; stationary if the
+        # gradient is negligible on the scale of the objective (a stuck
+        # solver far from a minimum carries a gradient of order n)
+        stuck = active[~accepted]
+        converged[stuck] = gnorm[~accepted] <= 1e-3 * (1.0 + objective[stuck])
+        active = active[accepted]
+    return ThetaEstimate(theta, resid, converged, iterations, objective)
 
 
 def fit(family: ParametricFamily, points, responses, theta_init=None) -> ThetaEstimate:
@@ -279,29 +332,35 @@ def fit(family: ParametricFamily, points, responses, theta_init=None) -> ThetaEs
         seeds.append(_grid_init_damped_sine(family, points, responses))
     if not seeds:
         seeds.append(np.zeros(family.dim_theta))
-    fits = [_levenberg_marquardt(family, points, responses, seed) for seed in seeds]
-    return min(fits, key=lambda est: est.objective)
+    # all seeds in one stacked solve; keep the first minimal objective
+    stacked = np.broadcast_to(responses, (len(seeds), responses.size))
+    est = _levenberg_marquardt(family, points, stacked, np.array(seeds))
+    best = min(range(len(seeds)), key=lambda i: est.objective[i])
+    return ThetaEstimate(
+        est.theta[best], est.residuals[best], bool(est.converged[best]),
+        int(est.iterations[best]), float(est.objective[best]),
+    )
 
 
 def fit_batch(family: ParametricFamily, points, response_matrix):
     """Fit many response vectors over a common design.
 
     Returns (thetas, residuals, converged) with one row per response vector.
-    Linear-in-theta families reuse one QR factorization; others iterate from
-    the fit of the row mean as a warm start.
+    Linear-in-theta families reuse one QR factorization; others run one
+    lock-step Levenberg-Marquardt over all rows from the fit of the row mean
+    as a warm start.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     ys = np.atleast_2d(np.asarray(response_matrix, dtype=float))
+    if ys.shape[1] != points.shape[0]:
+        raise ValueError(
+            f"response block has {ys.shape[1]} columns but there are {points.shape[0]} points"
+        )
     if family.design is not None:
         design, q_mat, r_mat = _design_qr(family, points)
         thetas = sla.solve_triangular(r_mat, q_mat.T @ ys.T, lower=False).T
         residuals = ys - thetas @ design.T
         return thetas, residuals, np.ones(ys.shape[0], dtype=bool)
     warm = fit(family, points, ys.mean(axis=0)).theta
-    thetas = np.empty((ys.shape[0], family.dim_theta))
-    residuals = np.empty_like(ys)
-    converged = np.empty(ys.shape[0], dtype=bool)
-    for i, y in enumerate(ys):
-        est = _levenberg_marquardt(family, points, y, warm)
-        thetas[i], residuals[i], converged[i] = est.theta, est.residuals, est.converged
-    return thetas, residuals, converged
+    est = _levenberg_marquardt(family, points, ys, warm)
+    return est.theta, est.residuals, est.converged

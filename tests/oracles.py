@@ -1,12 +1,15 @@
-"""Closed-form local linear fits on the circle and the 2-sphere.
+"""Reference implementations that library code never calls.
 
-Test oracles for ``dirgof.locreg``: library code never calls them, and the
-tests compare the generic projected fit against these moment-sum formulas.
+Closed-form local linear fits on the circle and the 2-sphere, against which
+the tests compare the generic projected fit of ``dirgof.locreg``, and the
+one-response Levenberg-Marquardt solver, against which they compare the
+lock-step solver of ``dirgof.parfit`` row by row.
 """
 
 import numpy as np
 
 from dirgof.kernels import VON_MISES, DirectionalKernel
+from dirgof.parfit import ThetaEstimate, predict_batch
 
 
 def circular_local_linear(
@@ -60,3 +63,51 @@ def spherical_local_linear(
     numer = c0 * t(0, 0) - c1 * t(1, 0) + c2 * t(0, 1)
     denom = c0 * s(0, 0) - c1 * s(1, 0) + c2 * s(0, 1)
     return numer / denom
+
+
+def levenberg_marquardt(family, points, responses, theta0, max_iter=200, gtol=1e-8):
+    """Levenberg-Marquardt on one response vector, one damped solve at a time."""
+    theta = np.asarray(theta0, dtype=float).copy()
+    resid = responses - predict_batch(family, theta, points)
+    objective = float(resid @ resid)
+    lam = 1e-3
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        jac = family.grad_theta(theta, points)
+        grad = 2.0 * (jac.T @ resid)
+        if np.linalg.norm(grad) <= gtol:
+            converged = True
+            break
+        hess = jac.T @ jac
+        scale = np.diag(hess).copy()
+        scale[scale <= 0] = 1.0
+        accepted = False
+        while lam <= 1e12:
+            try:
+                step = np.linalg.solve(hess + lam * np.diag(scale), jac.T @ resid)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            cand = theta + step
+            cand_resid = responses - predict_batch(family, cand, points)
+            cand_obj = float(cand_resid @ cand_resid)
+            if cand_obj < objective:
+                theta, resid, objective = cand, cand_resid, cand_obj
+                lam = max(lam / 10.0, 1e-12)
+                accepted = True
+                break
+            lam *= 10.0
+        if not accepted:
+            # no downhill step within float precision; stationary if the
+            # gradient is negligible on the scale of the objective (a stuck
+            # solver far from a minimum carries a gradient of order n)
+            converged = np.linalg.norm(grad) <= 1e-3 * (1.0 + objective)
+            break
+    return ThetaEstimate(
+        theta=theta,
+        residuals=resid,
+        converged=converged,
+        iterations=iterations,
+        objective=objective,
+    )
