@@ -7,11 +7,12 @@ responses; those effective weights are the central object here because the
 goodness-of-fit statistic reuses them across quadrature nodes and bootstrap
 replicates.
 
-Solves go through an orthogonal factorization of the square-root-weighted
-design, stacked over blocks of nodes (never the normal equations).  A
-rank-deficient node falls back to a tiny ridge on the Gram matrix and is
-flagged ``regularized`` instead of aborting, so long bootstrap loops survive
-rare degenerate resamples without hiding the degradation.
+Degree-1 solves run over blocks of nodes, through kernel-weighted moments
+(normal equations only where the gate proves them safe) or else an orthogonal
+factorization of the square-root-weighted design.  A rank-deficient node
+falls back to a tiny ridge on the Gram matrix and is flagged ``regularized``
+instead of aborting, so long bootstrap loops survive rare degenerate
+resamples without hiding the degradation.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .sphere import tangent_bases
 WEIGHT_FLOOR = 1e-300
 RIDGE_FACTOR = 1e-10
 _RANK_TOL = 1e-10
+# a node takes the moment form when eps (1 + |t̄|^2) / λ_min(C) is at most this
+MOMENT_GATE = 1e-11
 # nodes per stacked degree-1 factorization; bounds its memory at large m
 NODE_BLOCK = 512
 
@@ -81,15 +84,14 @@ def _check_size(n: int, q: int, cfg: LocalFitConfig) -> None:
         raise ValueError("need at least one observation")
 
 
-def _coefficient_weights(nodes, predictors, raw, degree: int):
+def _coefficient_weights(nodes, predictors, raw, degree: int, gradient: bool = True):
     """Coefficient weights of the local fits at a stack of nodes.
 
     Returns (m, p, n) weights, so that ``weights[j] @ y`` is the coefficient
-    vector at node j (fitted value first, then the projected gradient), and
-    the (m,) mask of nodes where the ridge fallback fired.  Degree 1 takes one
-    stacked QR of the square-root-weighted designs, R^-1 Q^T scaled by the
-    root weights; a node whose R diagonal fails the rank test is solved with
-    a tiny ridge on its Gram matrix instead.
+    vector at node j (fitted value first, then the projected gradient unless
+    ``gradient`` is false), and the (m,) mask of nodes where the ridge
+    fallback fired.  Degree 1 takes the moments where their gate passes and
+    the stacked QR at every other node.
     """
     sums = raw.sum(axis=1)
     if np.any(sums <= 0):
@@ -98,6 +100,62 @@ def _coefficient_weights(nodes, predictors, raw, degree: int):
         )
     if degree == 0:
         return (raw / sums[:, None])[:, None, :], np.zeros(len(nodes), dtype=bool)
+    # exact power-of-4 rescale to peak ~1: no row changes, but the moments
+    # and Gram matrices of nodes near WEIGHT_FLOOR cannot reach subnormals
+    raw = np.ldexp(raw, -2 * (np.frexp(raw.max(axis=1))[1] // 2)[:, None])
+    coef, fast = _moment_coefficients(nodes, predictors, raw, gradient)
+    flags = np.zeros(len(nodes), dtype=bool)
+    if not fast.all():
+        slow = ~fast
+        qr_coef, flags[slow] = _qr_coefficients(nodes[slow], predictors, raw[slow])
+        coef[slow] = qr_coef[:, : coef.shape[1]]
+    return coef, flags
+
+
+def _moment_coefficients(nodes, predictors, raw, gradient: bool):
+    """Degree-1 coefficient weights from three kernel-weighted moments, filled
+    only at the nodes of the returned mask, where the gate passes.
+
+    With t_i = B^T X_i (B^T x = 0) of weighted mean t̄ and covariance C, the
+    fitted-value row is k_i (α - v^T X_i) / S0, α = 1 + t̄^T C^-1 t̄ and
+    v = B C^-1 t̄, and the gradient rows are k_i C^-1 (t_i - t̄) / S0.
+    """
+    d = predictors.shape[1]
+    sums = raw.sum(axis=1)
+    bases = tangent_bases(nodes)
+    trans = np.swapaxes(bases, 1, 2)
+    outer = (predictors[:, :, None] * predictors[:, None, :]).reshape(-1, d * d)
+    second = (raw @ outer).reshape(-1, d, d)
+    tbar = ((raw @ predictors)[:, None, :] @ bases)[:, 0] / sums[:, None]
+    cov = trans @ second @ bases / sums[:, None, None] - tbar[:, :, None] * tbar[:, None, :]
+    lam = np.linalg.eigvalsh(cov)[:, 0]
+    # C = E[t t^T] - t̄ t̄^T cancels where the local cloud is narrow next to
+    # its offset; the gate, false for λ_min <= 0 and NaN, keeps those nodes
+    # out.  A node it lets in passes the rank test of _qr_coefficients: as
+    # |t_i| <= 1 the Gram matrix G has λ_max(G/S0) <= 2 and λ_min(G/S0) >=
+    # λ_min(C) / (2 (1 + |t̄|^2)), and R diagonals lie between the extreme
+    # singular values, so their ratio is >= sqrt(eps / (4 MOMENT_GATE)) ~ 2.4e-3
+    fast = lam * MOMENT_GATE >= np.finfo(float).eps * (1.0 + (tbar**2).sum(axis=1))
+    coef = np.empty((len(nodes), d if gradient else 1, raw.shape[1]))
+    tbar, bases, trans = tbar[fast], bases[fast], trans[fast]
+    rhs = tbar[:, :, None]
+    if gradient:
+        rhs = np.concatenate([rhs, trans], axis=2)
+    solved = np.linalg.solve(cov[fast], rhs)
+    ct = solved[:, :, 0]
+    alpha = 1.0 + (tbar * ct).sum(axis=1)
+    v = (bases @ ct[:, :, None])[:, :, 0]
+    scaled = raw[fast] / sums[fast, None]
+    coef[fast, 0] = scaled * (alpha[:, None] - v @ predictors.T)
+    if gradient:
+        coef[fast, 1:] = scaled[:, None, :] * (solved[:, :, 1:] @ predictors.T - ct[:, :, None])
+    return coef, fast
+
+
+def _qr_coefficients(nodes, predictors, raw):
+    """Degree-1 coefficient weights, R^-1 Q^T of the square-root-weighted
+    designs scaled by the root weights; a node whose R diagonal fails the
+    rank test takes a tiny ridge on its Gram matrix and is flagged."""
     centered = predictors[None, :, :] - nodes[:, None, :]
     tangent = centered @ tangent_bases(nodes)
     design = np.concatenate([np.ones(tangent.shape[:2] + (1,)), tangent], axis=2)
@@ -115,13 +173,11 @@ def _coefficient_weights(nodes, predictors, raw, degree: int):
     # R^T z = e1 that gives the fitted-value weights.
     r_mat[flags] = np.eye(p)
     coef = (np.linalg.inv(r_mat) @ np.swapaxes(q_mat, 1, 2)) * sw[:, None, :]
-    # exact power-of-4 rescale to peak ~1: the Gram cannot underflow, the ridge scales along
-    peaked = np.ldexp(raw[flags], -2 * (np.frexp(raw[flags].max(axis=1))[1] // 2)[:, None])
-    a = design[flags] * np.sqrt(peaked)[:, :, None]
+    a = a[flags]
     gram = np.swapaxes(a, 1, 2) @ a
     ridge = RIDGE_FACTOR * np.trace(gram, axis1=1, axis2=2) / p
     gram[:, np.arange(p), np.arange(p)] += ridge[:, None]
-    weighted = np.swapaxes(design[flags], 1, 2) * peaked[:, None, :]
+    weighted = np.swapaxes(design[flags], 1, 2) * raw[flags][:, None, :]
     coef[flags] = np.linalg.solve(gram, weighted)
     return coef, flags
 
@@ -167,7 +223,7 @@ def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None):
     for start in range(0, len(nodes), NODE_BLOCK):
         block = slice(start, start + NODE_BLOCK)
         coef, flags[block] = _coefficient_weights(
-            nodes[block], predictors, raw[block], 1
+            nodes[block], predictors, raw[block], 1, gradient=False
         )
         rows[block] = coef[:, 0]
     return rows, flags

@@ -305,6 +305,10 @@ def fit(family: ParametricFamily, points, responses, theta_init=None) -> ThetaEs
     """Least squares fit of the family; closed form when linear in theta."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     responses = np.asarray(responses, dtype=float)
+    if responses.shape != points.shape[:1]:
+        raise ValueError(
+            f"got {responses.size} responses but there are {points.shape[0]} points"
+        )
     if points.shape[0] < family.dim_theta:
         raise ValueError(
             f"need n >= {family.dim_theta} observations, got {points.shape[0]}"

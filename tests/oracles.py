@@ -1,15 +1,19 @@
 """Reference implementations that library code never calls.
 
 Closed-form local linear fits on the circle and the 2-sphere, against which
-the tests compare the generic projected fit of ``dirgof.locreg``, and the
-one-response Levenberg-Marquardt solver, against which they compare the
-lock-step solver of ``dirgof.parfit`` row by row.
+the tests compare the generic projected fit of ``dirgof.locreg``; the
+stacked-QR local linear rows at every node, against which they compare the
+moment rows the gate lets through; and the one-response Levenberg-Marquardt
+solver, against which they compare the lock-step solver of ``dirgof.parfit``
+row by row.
 """
 
 import numpy as np
 
 from dirgof.kernels import VON_MISES, DirectionalKernel
+from dirgof.locreg import RIDGE_FACTOR
 from dirgof.parfit import ThetaEstimate, predict_batch
+from dirgof.sphere import tangent_bases
 
 
 def circular_local_linear(
@@ -63,6 +67,32 @@ def spherical_local_linear(
     numer = c0 * t(0, 0) - c1 * t(1, 0) + c2 * t(0, 1)
     denom = c0 * s(0, 0) - c1 * s(1, 0) + c2 * s(0, 1)
     return numer / denom
+
+
+def stacked_qr_weight_rows(nodes, predictors, raw):
+    """Local linear fitted-value rows (m, n) by one stacked QR at every node,
+    with the R-diagonal rank test and the ridge fallback, and the (m,) mask
+    of nodes the rank test flagged."""
+    centered = predictors[None, :, :] - nodes[:, None, :]
+    tangent = centered @ tangent_bases(nodes)
+    design = np.concatenate([np.ones(tangent.shape[:2] + (1,)), tangent], axis=2)
+    sw = np.sqrt(raw)
+    q_mat, r_mat = np.linalg.qr(design * sw[:, :, None])
+    diag = np.abs(np.diagonal(r_mat, axis1=1, axis2=2))
+    scale = 1e-10 * diag.max(axis=1)
+    flags = ~((diag.min(axis=1) > scale) & (scale > 0))
+    p = design.shape[2]
+    r_mat[flags] = np.eye(p)
+    rows = (np.linalg.inv(r_mat) @ np.swapaxes(q_mat, 1, 2))[:, 0] * sw
+    peaked = np.ldexp(raw[flags], -2 * (np.frexp(raw[flags].max(axis=1))[1] // 2)[:, None])
+    a = design[flags] * np.sqrt(peaked)[:, :, None]
+    gram = np.swapaxes(a, 1, 2) @ a
+    gram[:, np.arange(p), np.arange(p)] += (
+        RIDGE_FACTOR * np.trace(gram, axis1=1, axis2=2) / p
+    )[:, None]
+    weighted = np.swapaxes(design[flags], 1, 2) * peaked[:, None, :]
+    rows[flags] = np.linalg.solve(gram, weighted)[:, 0]
+    return rows, flags
 
 
 def levenberg_marquardt(family, points, responses, theta0, max_iter=200, gtol=1e-8):

@@ -7,7 +7,7 @@ import pytest
 from dirgof import goftest, locreg, simsuite
 from dirgof.density import density_sample, uniform_model
 from dirgof.kernels import VON_MISES, directional_kernel, kernel_constants
-from dirgof.sphere import projection_basis, sample_uniform
+from dirgof.sphere import projection_basis, sample_uniform, tangent_bases
 
 
 def circle(angles):
@@ -371,3 +371,82 @@ def test_ridge_rows_finite_where_kernel_weights_sit_at_the_floor():
     assert not ref_flags.any()
     scale = np.abs(ref_rows).max(axis=1, keepdims=True)
     assert np.max(np.abs(rows[~flags] - ref_rows) / scale) < 1e-10
+
+
+# (scenario, q, h): the moment gate passes from about 1 % to all of their nodes
+GATE_CASES = [
+    ("S2", 3, 0.04), ("S2", 3, 0.1), ("S2", 3, 0.5),
+    ("S4", 2, 0.04), ("S4", 2, 0.1), ("S4", 1, 0.04),
+]
+
+
+def gate_case(scenario, q, h):
+    """Scenario data at seed 0 and the default quadrature nodes with kernel
+    mass; at q=3 only the first 1100 of its 20 000 nodes (three blocks)."""
+    predictors, _ = simsuite.generate(
+        simsuite.make_scenario(scenario, q), 250, np.random.default_rng(0)
+    )
+    cfg = locreg.LocalFitConfig(degree=1, bandwidth=h)
+    nodes = goftest.default_quadrature(q).nodes[:1100]
+    raw = locreg.kernel_weight_matrix(nodes, predictors, cfg)
+    mass = raw.sum(axis=1) > 0
+    return nodes[mass], predictors, cfg, raw[mass]
+
+
+def test_moment_rows_match_qr_rows_across_the_gate(monkeypatch, rng):
+    """Rows that mix the moment form and the stacked QR, block by block,
+    against the stacked QR at every node: identical flags, rows within 1e-10
+    relative, and so statistics within 1e-10 relative too."""
+    masks = []
+    moments = locreg._moment_coefficients
+
+    def recorded(*args):
+        coef, fast = moments(*args)
+        masks.append(fast)
+        return coef, fast
+
+    monkeypatch.setattr(locreg, "_moment_coefficients", recorded)
+    shares = []
+    for scenario, q, h in GATE_CASES:
+        nodes, predictors, cfg, raw = gate_case(scenario, q, h)
+        start = len(masks)
+        rows, flags = locreg.weight_rows(nodes, predictors, cfg, raw=raw)
+        ref_rows, ref_flags = oracles.stacked_qr_weight_rows(nodes, predictors, raw)
+        assert np.array_equal(flags, ref_flags)
+        scale = np.abs(ref_rows).max(axis=1, keepdims=True)
+        assert np.max(np.abs(rows - ref_rows) / scale) < 1e-10
+        residuals = rng.standard_normal(len(predictors))
+        stat, ref_stat = ((rows @ residuals) ** 2).sum(), ((ref_rows @ residuals) ** 2).sum()
+        assert abs(stat - ref_stat) < 1e-10 * ref_stat
+        shares.append(np.concatenate(masks[start:]).mean())
+    assert min(shares) < 0.05 and max(shares) == 1.0
+    assert any(fast.any() and not fast.all() for fast in masks)
+
+
+def test_nodes_passing_the_moment_gate_pass_the_rank_test():
+    """The R-diagonal ratio of a node that passes the gate is at least
+    sqrt(λ_min(C) / (4 (1 + |t̄|^2))), so at least sqrt(eps / (4 gate)),
+    some 2.4e-3: the rank test cannot flag it, and flags stay the QR's."""
+    eps = np.finfo(float).eps
+    floor = sqrt(eps / (4.0 * locreg.MOMENT_GATE))
+    assert floor > 1e6 * locreg._RANK_TOL
+    passed = 0
+    for scenario, q, h in [("S2", 3, 0.1), ("S4", 2, 0.1), ("S4", 1, 0.04)]:
+        nodes, predictors, cfg, raw = gate_case(scenario, q, h)
+        tangent = np.einsum("nd,mdk->mnk", predictors, tangent_bases(nodes))
+        sums = raw.sum(axis=1)
+        tbar = np.einsum("mn,mnk->mk", raw, tangent) / sums[:, None]
+        spread = (tangent - tbar[:, None, :]) * np.sqrt(raw / sums[:, None])[:, :, None]
+        lam = np.linalg.eigvalsh(np.swapaxes(spread, 1, 2) @ spread)[:, 0]
+        offset = 1.0 + (tbar**2).sum(axis=1)
+        gate = lam * locreg.MOMENT_GATE >= eps * offset
+        design = np.concatenate([np.ones(tangent.shape[:2] + (1,)), tangent], axis=2)
+        r_mat = np.linalg.qr(design * np.sqrt(raw)[:, :, None], mode="r")
+        diag = np.abs(np.diagonal(r_mat, axis1=1, axis2=2))
+        ratio = diag.min(axis=1) / diag.max(axis=1)
+        bound = np.sqrt(lam[gate] / (4.0 * offset[gate]))
+        assert np.all(ratio[gate] >= bound * (1.0 - 1e-8))
+        assert np.all(ratio[gate] >= floor * (1.0 - 1e-8))
+        passed += gate.sum()
+    assert passed > 0
+

@@ -189,6 +189,14 @@ def test_fit_batch_rejects_mismatched_response_block(rng):
             parfit.fit_batch(family, predictors, block)
 
 
+def test_fit_rejects_mismatched_responses(rng):
+    predictors = sample_uniform(1, 50, rng)
+    responses = rng.standard_normal(49)
+    for family in (parfit.linear_family(1), parfit.damped_sine_family(1)):
+        with pytest.raises(ValueError, match="49 responses.*50 points"):
+            parfit.fit(family, predictors, responses)
+
+
 def _ignores_theta(theta, points):
     return np.zeros(len(points))
 
