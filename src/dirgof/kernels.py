@@ -3,9 +3,9 @@
 A directional kernel is a nonnegative profile L on [0, infinity) applied to
 the rescaled chordal distance (1 - x.y)/h^2.  Admissible kernels decay
 exponentially, L(r) <= M exp(-alpha r); this is spot-checked on a log grid
-at construction.  All moment constants are computed by adaptive quadrature
-and cached; the von Mises profile exp(-r) has closed forms used as oracles
-by the test suite.
+at construction.  The von Mises profile exp(-r) takes its closed-form
+normalizing constant; custom kernels and the cached moment constants go
+through adaptive quadrature, the only user of scipy.integrate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import pi, sqrt
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .sphere import surface_area
 
@@ -72,6 +72,8 @@ VON_MISES = directional_kernel(_von_mises_profile, decay=(1.0, 1.0), tag="von-mi
 
 def _quad(fn, lo, hi, **kw) -> float:
     """scipy.integrate.quad wrapper that raises on non-convergence."""
+    from scipy import integrate
+
     out = integrate.quad(
         fn, lo, hi, epsabs=1e-10, epsrel=1e-8, limit=200, full_output=1, **kw
     )
@@ -143,13 +145,17 @@ def kernel_constants(kernel: DirectionalKernel, q: int) -> KernelConstants:
 def normalizing_constant(kernel: DirectionalKernel, q: int, h: float) -> float:
     """Exact normalizing constant making the rescaled kernel a density.
 
-    Computed from the finite radial integral of
+    The von Mises kernel takes its closed form.  Any other kernel is
+    computed from the finite radial integral of
     L(r) r^(q/2-1) (2 - r h^2)^(q/2-1) over (0, 2/h^2); the substitution
     r = 2 s / h^2 turns both endpoint factors into an algebraic weight that
     the quadrature handles exactly.
     """
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
+    # equality, not identity: a kernel unpickled in a worker routes the same way
+    if kernel == VON_MISES:
+        return von_mises_normalizing_constant(q, h)
     a = 0.5 * q - 1.0
     kappa = 1.0 / h**2
 

@@ -20,7 +20,6 @@ from math import pi
 from typing import Callable
 
 import numpy as np
-from scipy import linalg as sla
 
 
 class RankDeficientError(RuntimeError):
@@ -141,7 +140,9 @@ def constrained_linear_family(constraint: np.ndarray, q: int) -> ParametricFamil
         raise ValueError(
             f"constraint matrix must have q+1 = {q + 1} columns, got {constraint.shape[1]}"
         )
-    null_basis = sla.null_space(constraint)
+    from scipy.linalg import null_space
+
+    null_basis = null_space(constraint)
     if null_basis.shape[1] == 0:
         raise ValueError("constraint matrix leaves no free slope directions")
     return _from_design(
@@ -315,7 +316,7 @@ def fit(family: ParametricFamily, points, responses, theta_init=None) -> ThetaEs
         )
     if family.design is not None:
         design, q_mat, r_mat = _design_qr(family, points)
-        theta = sla.solve_triangular(r_mat, q_mat.T @ responses, lower=False)
+        theta = np.linalg.solve(r_mat, q_mat.T @ responses)
         resid = responses - design @ theta
         return ThetaEstimate(
             theta=theta,
@@ -362,7 +363,7 @@ def fit_batch(family: ParametricFamily, points, response_matrix):
         )
     if family.design is not None:
         design, q_mat, r_mat = _design_qr(family, points)
-        thetas = sla.solve_triangular(r_mat, q_mat.T @ ys.T, lower=False).T
+        thetas = np.linalg.solve(r_mat, q_mat.T @ ys.T).T
         residuals = ys - thetas @ design.T
         return thetas, residuals, np.ones(ys.shape[0], dtype=bool)
     warm = fit(family, points, ys.mean(axis=0)).theta

@@ -3,12 +3,14 @@
 Closed-form local linear fits on the circle and the 2-sphere, against which
 the tests compare the generic projected fit of ``dirgof.locreg``; the
 stacked-QR local linear rows at every node, against which they compare the
-moment rows the gate lets through; and the one-response Levenberg-Marquardt
+moment rows the gate lets through; the one-response Levenberg-Marquardt
 solver, against which they compare the lock-step solver of ``dirgof.parfit``
-row by row.
+row by row; and the QR least squares fit finished by scipy's triangular
+solve, against which they compare the closed-form linear fits.
 """
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from dirgof.kernels import VON_MISES, DirectionalKernel
 from dirgof.locreg import RIDGE_FACTOR
@@ -141,3 +143,14 @@ def levenberg_marquardt(family, points, responses, theta0, max_iter=200, gtol=1e
         iterations=iterations,
         objective=objective,
     )
+
+
+def triangular_least_squares(family, points, responses):
+    """Linear-in-theta fit of a response vector or of each row of a block.
+
+    QR of the design, then R theta = Q^T y by scipy's triangular solve.
+    """
+    design = family.design(points)
+    q_mat, r_mat = np.linalg.qr(design)
+    thetas = solve_triangular(r_mat, q_mat.T @ responses.T, lower=False).T
+    return thetas, responses - thetas @ design.T

@@ -229,3 +229,33 @@ def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, dirgof.cli; sys.exit(int('scipy.stats' in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_test_command_loads_no_scipy_beyond_special(tmp_path):
+    """A default-kernel test call imports only scipy.special; the lazy paths still run."""
+    data = tmp_path / "d.csv"
+    write_sample_csv(data, n=60)
+    out = tmp_path / "r.json"
+    code = f"""
+import sys
+import numpy as np
+from dirgof import cli, kernels, parfit
+
+rc = cli.main(["--command", "test", "--data", {str(data)!r}, "--family", "linear",
+               "--h", "0.6", "--B", "20", "--seed", "5", "--out", {str(out)!r}])
+assert rc == 0, rc
+heavy = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.stats")
+loaded = [name for name in heavy if name in sys.modules]
+assert not loaded, loaded
+
+custom = kernels.directional_kernel(lambda r: np.exp(-2.0 * r), decay=(1.0, 2.0))
+assert kernels.kernel_constants(custom, 2).scale > 0
+family = parfit.constrained_linear_family(np.array([[1.0, 0.0]]), 1)
+points = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+est = parfit.fit(family, points, 2.0 + 3.0 * points[:, 1])
+assert np.allclose(est.residuals, 0.0, atol=1e-12)
+assert "scipy.integrate" in sys.modules and "scipy.linalg" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["p_value"] >= 0.0

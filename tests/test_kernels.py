@@ -1,3 +1,4 @@
+import pickle
 from math import gamma, pi, sqrt
 
 import numpy as np
@@ -40,8 +41,8 @@ def test_kernel_normalization_integral(q, h):
 
     Oracle: fold the surface integral onto the cosine of the colatitude and
     evaluate with a fixed-order Gauss-Jacobi rule carrying the (1-t^2)
-    surface weight exactly, a route independent of the adaptive radial
-    quadrature inside normalizing_constant.
+    surface weight exactly, a route independent of both the closed form and
+    the adaptive radial quadrature inside normalizing_constant.
     """
     from scipy import special
 
@@ -63,11 +64,28 @@ def test_kernel_normalization_on_surface_grid(q, res):
     assert quad.integrate(vals) == pytest.approx(1.0, abs=1e-6)
 
 
+# the von Mises profile under another tag: unequal to VON_MISES, so its
+# normalizing constant still goes through the adaptive quadrature
+_VON_MISES_TWIN = kernels.directional_kernel(
+    lambda r: np.exp(-r), decay=(1.0, 1.0), tag="twin"
+)
+
+
 def test_von_mises_normalizer_closed_form_circle():
-    # concentration 4 on the circle
-    numeric = kernels.normalizing_constant(kernels.VON_MISES, 1, 0.5)
-    closed = kernels.von_mises_normalizing_constant(1, 0.5)
-    assert numeric == pytest.approx(closed, rel=1e-8)
+    """The quadrature route of normalizing_constant matches the closed form."""
+    for q in (1, 2, 3):
+        for h in np.geomspace(0.04, 1.5, 12):
+            numeric = kernels.normalizing_constant(_VON_MISES_TWIN, q, h)
+            closed = kernels.von_mises_normalizing_constant(q, h)
+            assert numeric == pytest.approx(closed, rel=1e-12), (q, h)
+
+
+def test_von_mises_normalizer_routes_to_closed_form():
+    """VON_MISES, also as unpickled in a worker process, skips the quadrature."""
+    for kernel in (kernels.VON_MISES, pickle.loads(pickle.dumps(kernels.VON_MISES))):
+        for q, h in ((1, 0.5), (2, 0.04), (3, 1.5)):
+            routed = kernels.normalizing_constant(kernel, q, h)
+            assert routed == kernels.von_mises_normalizing_constant(q, h)
 
 
 def test_normalizing_constant_small_bandwidth_limit():

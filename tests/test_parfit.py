@@ -170,6 +170,34 @@ def test_fit_batch_matches_single_fits(rng):
         assert np.max(np.abs(residuals[i] - single.residuals)) < 1e-10
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda q: parfit.constant_family(),
+        parfit.linear_family,
+        parfit.trig_family,
+        lambda q: parfit.constrained_linear_family(np.ones((1, q + 1)), q),
+    ],
+    ids=["constant", "linear", "trig", "constrained-linear"],
+)
+def test_linear_fits_match_triangular_solve_oracle(build, q, rng):
+    family = build(q)
+    predictors = sample_uniform(q, 120, rng)
+    block = rng.standard_normal((200, 120)) + np.sin(3.0 * predictors[:, 0])
+    want_thetas, want_residuals = oracles.triangular_least_squares(family, predictors, block)
+    thetas, residuals, _ = parfit.fit_batch(family, predictors, block)
+    # numpy and scipy may ship different BLAS builds: equal up to rounding,
+    # with an absolute floor for entries near zero (the data are of order 1)
+    np.testing.assert_allclose(thetas, want_thetas, rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(residuals, want_residuals, rtol=1e-13, atol=1e-14)
+    for y in block[[0, 99, 199]]:
+        want_theta, want_resid = oracles.triangular_least_squares(family, predictors, y)
+        single = parfit.fit(family, predictors, y)
+        np.testing.assert_allclose(single.theta, want_theta, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(single.residuals, want_resid, rtol=1e-13, atol=1e-14)
+
+
 def test_fit_batch_nonlinear(rng):
     family = parfit.damped_sine_family(1)
     predictors = sample_uniform(1, 300, rng)
