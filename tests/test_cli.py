@@ -231,23 +231,33 @@ def test_import_leaves_scipy_stats_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_test_command_loads_no_scipy_beyond_special(tmp_path):
-    """A default-kernel test call imports only scipy.special; the lazy paths still run."""
+def test_test_and_trace_load_no_scipy(tmp_path):
+    """A default-kernel test call and S1/S2 trace trials import no scipy module.
+
+    The paths that need scipy import it where they run: the test-variance
+    factor (Gauss-Jacobi nodes), custom-kernel constants (adaptive
+    quadrature) and the constrained-linear fit (null space).
+    """
     data = tmp_path / "d.csv"
     write_sample_csv(data, n=60)
     out = tmp_path / "r.json"
     code = f"""
 import sys
+from math import pi
 import numpy as np
-from dirgof import cli, kernels, parfit
+from dirgof import cli, kernels, parfit, simsuite
 
 rc = cli.main(["--command", "test", "--data", {str(data)!r}, "--family", "linear",
                "--h", "0.6", "--B", "20", "--seed", "5", "--out", {str(out)!r}])
 assert rc == 0, rc
-heavy = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.stats")
-loaded = [name for name in heavy if name in sys.modules]
+for scenario_id, q, degree in (("S1", 2, 0), ("S2", 3, 1)):
+    simsuite.significance_trace(simsuite.make_scenario(scenario_id, q), n=40,
+                                h_grid=[0.5], trials=1, bootstrap=10, degree=degree)
+loaded = [name for name in sys.modules if name.startswith("scipy")]
 assert not loaded, loaded
 
+variance = kernels.gof_asymptotic_variance(kernels.VON_MISES, 2, 1.0)
+assert abs(variance * 8.0 * pi - 1.0) < 1e-6, variance
 custom = kernels.directional_kernel(lambda r: np.exp(-2.0 * r), decay=(1.0, 2.0))
 assert kernels.kernel_constants(custom, 2).scale > 0
 family = parfit.constrained_linear_family(np.array([[1.0, 0.0]]), 1)
@@ -259,3 +269,27 @@ assert "scipy.integrate" in sys.modules and "scipy.linalg" in sys.modules
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["p_value"] >= 0.0
+
+
+def test_non_finite_inputs_are_data_errors(tmp_path, capsys):
+    """NaN cells and non-finite bandwidths exit 2 instead of rejecting with p 0."""
+    data = tmp_path / "d.csv"
+    write_sample_csv(data, n=60)
+    lines = data.read_text().splitlines()
+    lines[7] = lines[7].rsplit(",", 1)[0] + ",nan"
+    holed = tmp_path / "holed.csv"
+    holed.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r.json"
+    base = ["--command", "test", "--family", "linear", "--B", "20", "--out", str(out)]
+    assert run_main(*base, "--data", str(holed), "--h", "0.6") == cli.EXIT_DATA_ERROR
+    assert "non-finite cell nan in data row 7, column y" in capsys.readouterr().err
+    for h in ("nan", "inf"):
+        assert run_main(*base, "--data", str(data), "--h", h) == cli.EXIT_DATA_ERROR
+    assert not out.exists()
+    trace = tmp_path / "t.csv"
+    base = ["--command", "trace", "--scenario", "S1", "--q", "1", "--n", "30",
+            "--M", "2", "--B", "5", "--out", str(trace)]
+    for grid in ("0.3,nan", "0.3,inf"):
+        assert run_main(*base, "--h-grid", grid) == cli.EXIT_DATA_ERROR
+    assert run_main(*base, "--h-grid", "0.3", "--alpha-list", "0.05,nan") == cli.EXIT_DATA_ERROR
+    assert not trace.exists()

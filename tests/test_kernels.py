@@ -80,6 +80,47 @@ def test_von_mises_normalizer_closed_form_circle():
             assert numeric == pytest.approx(closed, rel=1e-12), (q, h)
 
 
+# orders (q-1)/2 of the vMF normalizer for q = 1..10, over the whole range of
+# concentrations 1/h^2 and on both sides of the series switch at x = 30
+_IVE_ORDERS = [(q - 1) / 2.0 for q in range(1, 11)]
+_IVE_ARGS = np.concatenate(
+    [
+        np.geomspace(1e-10, 1e8, 181),
+        [29.0, 29.999999, np.nextafter(30.0, 0.0), 30.0],
+        [np.nextafter(30.0, 31.0), 30.000001, 31.0],
+    ]
+)
+
+
+def test_ive_matches_40_digit_bessel():
+    """e^-x I_order(x) agrees with mpmath at 40 digits to 4e-15 relative.
+
+    Orders 9.5 and 19.5 (q = 20, 40) check that the switch to Hankel's
+    series moves out to x = order^2, where it no longer cancels.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for order in _IVE_ORDERS + [9.5, 19.5]:
+            for x in _IVE_ARGS:
+                exact = mpmath.besseli(order, x) * mpmath.exp(-x)
+                rel = abs(mpmath.mpf(kernels.ive(order, x)) / exact - 1)
+                assert rel <= 4e-15, (order, x, float(rel))
+
+
+def test_ive_matches_scipy():
+    from scipy import special
+
+    for order in _IVE_ORDERS:
+        ours = np.array([kernels.ive(order, x) for x in _IVE_ARGS])
+        np.testing.assert_allclose(ours, special.ive(order, _IVE_ARGS), rtol=3e-14, atol=0)
+
+
+def test_ive_at_zero():
+    assert kernels.ive(0.0, 0.0) == 1.0
+    for order in _IVE_ORDERS[1:]:
+        assert kernels.ive(order, 0.0) == 0.0
+
+
 def test_von_mises_normalizer_routes_to_closed_form():
     """VON_MISES, also as unpickled in a worker process, skips the quadrature."""
     for kernel in (kernels.VON_MISES, pickle.loads(pickle.dumps(kernels.VON_MISES))):
@@ -143,5 +184,6 @@ def test_inadmissible_kernels_rejected():
 
 
 def test_normalizing_constant_validates_bandwidth():
-    with pytest.raises(ValueError):
-        kernels.normalizing_constant(kernels.VON_MISES, 1, 0.0)
+    for h in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            kernels.normalizing_constant(kernels.VON_MISES, 1, h)

@@ -275,8 +275,9 @@ def test_ridge_fallback_flags_degenerate_design(rng):
 def test_config_validation():
     with pytest.raises(ValueError):
         locreg.LocalFitConfig(degree=2, bandwidth=0.5)
-    with pytest.raises(ValueError):
-        locreg.LocalFitConfig(degree=0, bandwidth=-1.0)
+    for h in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            locreg.LocalFitConfig(degree=0, bandwidth=h)
 
 
 def reference_rows(nodes, predictors, cfg):

@@ -204,6 +204,14 @@ def test_trace_equals_refitting_per_bandwidth(scenario_id, q, degree, quad_res):
         assert trace.p_values[trial].tolist() == expected
 
 
+@pytest.mark.parametrize("h_grid", [[0.3, 0.3], [0.0, 0.3], [0.3, np.nan], [0.3, np.inf]])
+def test_trace_rejects_bad_bandwidth_grid(h_grid):
+    with pytest.raises(ValueError):
+        simsuite.significance_trace(
+            simsuite.make_scenario("S1", 1), n=30, h_grid=h_grid, trials=1, bootstrap=5
+        )
+
+
 def test_qq_experiment_requires_homoscedastic():
     with pytest.raises(ValueError):
         simsuite.qq_experiment(simsuite.make_scenario("S1", 1), n=50, h=0.3, trials=2)
