@@ -43,11 +43,40 @@ class DataError(ValueError):
     """Malformed input data or configuration."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise DataError, so flags and file keys fail alike."""
+
+    def error(self, message):
+        raise DataError(message)
+
+
+def _number(kind, low=None):
+    """Argparse type: a finite ``kind`` value, at least ``low`` when given."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not isfinite(value) or (low is not None and value < low):
+            bound = "" if low is None else f" >= {low}"
+            raise argparse.ArgumentTypeError(f"expected finite {kind.__name__}{bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # names the type in argparse's "invalid int value"
+    return parse
+
+
+def _yes_no(text: str) -> bool:
+    """Argparse type for the optional value of --local-alt (``local_alt = yes``)."""
+    if text.lower() in ("1", "true", "yes", "0", "false", "no"):
+        return text.lower() in ("1", "true", "yes")
+    raise argparse.ArgumentTypeError(f"expected yes or no, got {text!r}")
+
+
+def _build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="dirgof",
         description="Goodness-of-fit testing for regression models with "
         "predictors on the unit sphere.",
+        allow_abbrev=allow_abbrev,
     )
     parser.add_argument("--config", help="flat key=value config file; flags override")
     parser.add_argument(
@@ -56,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--data", help="input CSV with header x1..x{q+1},y (test only)")
     parser.add_argument(
         "--scenario",
-        help="scenario id (S1..S4, QQ) or 'custom' for an inline definition built "
+        choices=[*simsuite.SCENARIO_IDS, "QQ", "custom"],
+        help="scenario id, or 'custom' for an inline definition built "
         "from --family/--theta0/--design/--noise/--deviation keys",
     )
     parser.add_argument(
@@ -64,94 +94,85 @@ def _build_parser() -> argparse.ArgumentParser:
         help="design density: a named model (M1, M4s, M12s, M20s, M16s) or "
         "mixture components 'weight:kappa:mu1,..,mud; ...'",
     )
-    parser.add_argument("--noise", choices=["hom", "het"], help="noise model (custom)")
-    parser.add_argument("--noise-sd", type=float, help="homoscedastic noise sd (custom)")
     parser.add_argument(
-        "--deviation", choices=["none", "d1", "d2"], help="deviation shape (custom)"
+        "--noise", choices=["hom", "het"], default="hom", help="noise model (custom)"
     )
-    parser.add_argument("--deviation-coef", type=float, help="deviation coefficient")
-    parser.add_argument("--q", type=int, help="sphere dimension")
-    parser.add_argument("--n", type=int, help="sample size per Monte Carlo trial")
-    parser.add_argument("--p", type=int, choices=[0, 1], help="local fit degree")
-    parser.add_argument("--h", type=float, help="bandwidth")
+    parser.add_argument(
+        "--noise-sd", type=_number(float), default=0.5, help="homoscedastic noise sd (custom)"
+    )
+    parser.add_argument(
+        "--deviation", choices=["none", "d1", "d2"], default="none",
+        help="deviation shape (custom)",
+    )
+    parser.add_argument(
+        "--deviation-coef", type=_number(float), default=0.0, help="deviation coefficient"
+    )
+    parser.add_argument(
+        "--q", type=_number(int, 1), help="sphere dimension (scenarios default to 1)"
+    )
+    parser.add_argument(
+        "--n", type=_number(int, 1), default=100, help="sample size per Monte Carlo trial"
+    )
+    parser.add_argument("--p", type=int, choices=[0, 1], default=0, help="local fit degree")
+    parser.add_argument("--h", type=_number(float), help="bandwidth")
     parser.add_argument("--h-grid", help="comma separated bandwidth grid")
-    parser.add_argument("--B", type=int, help="bootstrap replicates")
-    parser.add_argument("--M", type=int, help="Monte Carlo trials")
-    parser.add_argument("--alpha-list", help="comma separated significance levels")
-    parser.add_argument("--quad-res", type=int, help="quadrature resolution")
-    parser.add_argument("--seed", type=int, help="root seed")
-    parser.add_argument("--workers", type=int, help="parallel workers")
+    parser.add_argument("--B", type=_number(int, 1), default=200, help="bootstrap replicates")
+    parser.add_argument("--M", type=_number(int, 1), default=500, help="Monte Carlo trials")
+    parser.add_argument(
+        "--alpha-list", default="0.01,0.05,0.10", help="comma separated significance levels"
+    )
+    parser.add_argument("--quad-res", type=_number(int, 8), help="quadrature resolution")
+    parser.add_argument("--seed", type=int, default=0, help="root seed")
+    parser.add_argument("--workers", type=_number(int, 1), default=1, help="parallel workers")
     parser.add_argument("--out", help="output path (JSON for test, CSV otherwise)")
-    parser.add_argument("--family", choices=sorted(_FAMILY_BUILDERS), help="null family")
+    parser.add_argument(
+        "--family", choices=sorted(_FAMILY_BUILDERS), default="linear", help="null family"
+    )
     parser.add_argument("--constraint", help="CSV of the constraint matrix rows")
     parser.add_argument(
-        "--hypothesis", choices=["composite", "simple"], help="null type"
+        "--hypothesis", choices=["composite", "simple"], default="composite", help="null type"
     )
     parser.add_argument("--theta0", help="comma separated parameter for simple nulls")
-    parser.add_argument("--sigma2", type=float, help="noise variance for qqcheck")
-    parser.add_argument("--local-alt", action="store_true", default=None,
-                        help="scale the deviation at the critical drift rate (power)")
+    parser.add_argument(
+        "--sigma2", type=_number(float), default=0.5, help="noise variance for qqcheck"
+    )
+    parser.add_argument(
+        "--local-alt", nargs="?", const=True, default=False, type=_yes_no,
+        help="scale the deviation at the critical drift rate (power)",
+    )
     return parser
 
 
-_TYPED_KEYS = {
-    "q": int, "n": int, "p": int, "B": int, "M": int, "quad_res": int,
-    "seed": int, "workers": int, "h": float, "sigma2": float,
-    "noise_sd": float, "deviation_coef": float,
-    "local_alt": lambda v: v.lower() in ("1", "true", "yes"),
-}
+def _merge(argv) -> dict:
+    """File keys first, command line flags on top, both checked as _build_parser declares.
 
-_STRING_KEYS = {
-    "command", "data", "scenario", "h_grid", "alpha_list", "out", "family",
-    "constraint", "hypothesis", "theta0", "design", "noise", "deviation",
-}
-
-
-def _read_config_file(path: str) -> dict:
-    text = Path(path).read_text()
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in _TYPED_KEYS and key not in _STRING_KEYS:
-            raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _TYPED_KEYS.get(key, str)
-        try:
-            out[key] = caster(value)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return out
-
-
-def _merge(args: argparse.Namespace) -> dict:
-    """File keys first, command line flags on top."""
-    merged = {
-        "command": None, "data": None, "scenario": None, "q": 1, "n": 100,
-        "p": 0, "h": None, "h_grid": None, "B": 200, "M": 500,
-        "alpha_list": "0.01,0.05,0.10", "quad_res": None, "seed": 0,
-        "workers": 1, "out": None, "family": "linear", "constraint": None,
-        "hypothesis": "composite", "theta0": None, "sigma2": 0.5,
-        "local_alt": False, "design": None, "noise": "hom", "noise_sd": 0.5,
-        "deviation": "none", "deviation_coef": 0.0,
-    }
-    provided = set()
-    if args.config:
-        if not Path(args.config).is_file():
-            raise DataError(f"config file not found: {args.config}")
-        file_keys = _read_config_file(args.config)
-        merged.update(file_keys)
-        provided.update(file_keys)
-    for key, value in vars(args).items():
-        if key != "config" and value is not None:
-            merged[key] = value
-            provided.add(key)
-    merged["_provided"] = provided
-    return merged
+    Each file line ``key = value`` is parsed as the flag ``--key=value``, one
+    line at a time so an error names its line; keys must be exact option
+    names (abbreviations are refused) other than ``config``.
+    """
+    parser = _build_parser()
+    path = parser.parse_args(argv).config
+    namespace = argparse.Namespace()
+    if path is not None:
+        if not Path(path).is_file():
+            raise DataError(f"config file not found: {path}")
+        file_parser = _build_parser(allow_abbrev=False)
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = (part.strip() for part in line.partition("="))
+            flag = "--" + key.replace("_", "-")
+            try:
+                if not sep:
+                    raise DataError(f"expected key = value, got {line!r}")
+                if flag == "--config":
+                    raise DataError("config files do not nest")
+                if file_parser.parse_known_args([f"{flag}={value}"], namespace)[1]:
+                    raise DataError(f"unknown key {key!r}")
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+    return vars(parser.parse_args(argv, namespace))
 
 
 def _float_list(text: str, name: str) -> list[float]:
@@ -171,19 +192,6 @@ def _validate(cfg: dict) -> dict:
         raise DataError("--command is required (test, trace, power or qqcheck)")
     if cfg["out"] is None:
         raise DataError("--out is required")
-    if cfg["q"] < 1:
-        raise DataError(f"q must be >= 1, got {cfg['q']}")
-    if cfg["n"] < 1 or cfg["B"] < 1 or cfg["M"] < 1:
-        raise DataError("n, B and M must be >= 1")
-    if cfg["p"] not in (0, 1):
-        raise DataError(f"p must be 0 or 1, got {cfg['p']}")
-    if cfg["workers"] < 1:
-        raise DataError("workers must be >= 1")
-    if cfg["quad_res"] is not None and cfg["quad_res"] < 8:
-        raise DataError("quad-res must be >= 8")
-    for key, caster in _TYPED_KEYS.items():
-        if caster is float and cfg[key] is not None and not isfinite(cfg[key]):
-            raise DataError(f"{key.replace('_', '-')} must be finite, got {cfg[key]}")
     for path_key in ("data", "constraint"):
         if cfg[path_key] is not None and not Path(cfg[path_key]).is_file():
             raise DataError(f"{path_key} file not found: {cfg[path_key]}")
@@ -252,6 +260,16 @@ def _family_from_config(cfg: dict, q: int) -> parfit.ParametricFamily:
         raise DataError(str(exc)) from exc
 
 
+def _theta0(cfg: dict, family: parfit.ParametricFamily, missing: str) -> np.ndarray:
+    """--theta0 as a parameter of ``family``; ``missing`` is the error without it."""
+    if cfg["theta0"] is None:
+        raise DataError(missing)
+    theta0 = np.array(_float_list(cfg["theta0"], "theta0"))
+    if theta0.size != family.dim_theta:
+        raise DataError(f"theta0 needs {family.dim_theta} entries, got {theta0.size}")
+    return theta0
+
+
 def _write_bytes(path: str, payload: str) -> None:
     with open(path, "w", newline="\n") as stream:
         stream.write(payload)
@@ -260,18 +278,12 @@ def _write_bytes(path: str, payload: str) -> None:
 def cmd_test(cfg: dict) -> int:
     predictors, responses = _read_data_csv(cfg["data"])
     q = predictors.shape[1] - 1
-    if "q" in cfg["_provided"] and cfg["q"] != q:
+    if cfg["q"] is not None and cfg["q"] != q:
         raise DataError(f"--q {cfg['q']} contradicts the {q + 1} predictor columns")
     family = _family_from_config(cfg, q)
     theta0 = None
     if cfg["hypothesis"] == "simple":
-        if cfg["theta0"] is None:
-            raise DataError("simple hypothesis needs --theta0")
-        theta0 = np.array(_float_list(cfg["theta0"], "theta0"))
-        if theta0.size != family.dim_theta:
-            raise DataError(
-                f"theta0 needs {family.dim_theta} entries, got {theta0.size}"
-            )
+        theta0 = _theta0(cfg, family, "simple hypothesis needs --theta0")
     if len(predictors) < max(family.dim_theta, cfg["p"] * (q + 2)):
         raise DataError(
             f"sample of {len(predictors)} rows is too small for this configuration"
@@ -323,18 +335,11 @@ def _parse_design(text: str, q: int):
 
 
 def _scenario_from_config(cfg: dict) -> simsuite.Scenario:
+    q = 1 if cfg["q"] is None else cfg["q"]
     if cfg["scenario"] != "custom":
-        try:
-            return simsuite.make_scenario(cfg["scenario"], cfg["q"])
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
-    q = cfg["q"]
+        return simsuite.make_scenario(cfg["scenario"], q)
     family = _family_from_config(cfg, q)
-    if cfg["theta0"] is None:
-        raise DataError("custom scenarios need --theta0 (the true parameter)")
-    theta0 = np.array(_float_list(cfg["theta0"], "theta0"))
-    if theta0.size != family.dim_theta:
-        raise DataError(f"theta0 needs {family.dim_theta} entries, got {theta0.size}")
+    theta0 = _theta0(cfg, family, "custom scenarios need --theta0 (the true parameter)")
     design = _parse_design(cfg["design"], q) if cfg["design"] else None
     if design is None:
         raise DataError("custom scenarios need --design")
@@ -366,7 +371,7 @@ def cmd_trace(cfg: dict, under_null: bool) -> int:
         seed=cfg["seed"],
         degree=cfg["p"],
         under_null=under_null,
-        local_alternative=bool(cfg["local_alt"]) and not under_null,
+        local_alternative=cfg["local_alt"] and not under_null,
         quad_resolution=cfg["quad_res"],
         workers=cfg["workers"],
     )
@@ -382,7 +387,7 @@ def cmd_qqcheck(cfg: dict) -> int:
         raise DataError(
             f"qqcheck needs a homoscedastic scenario, {scenario.id} is not"
         )
-    if cfg["scenario"] == "QQ" and cfg["sigma2"] is not None:
+    if cfg["scenario"] == "QQ":
         if cfg["sigma2"] <= 0:
             raise DataError("sigma2 must be positive")
         scenario = dataclasses.replace(scenario, noise_sd=sqrt(cfg["sigma2"]))
@@ -416,9 +421,8 @@ def cmd_qqcheck(cfg: dict) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _validate(_merge(args))
+        cfg = _validate(_merge(argv))
         if cfg["command"] == "test":
             return cmd_test(cfg)
         if cfg["command"] == "trace":

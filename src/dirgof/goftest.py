@@ -169,7 +169,7 @@ class GofResult:
         }
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True, allow_nan=False)
 
 
 def _config_echo(cfg: GofConfig, n: int, q: int, family_kind: str) -> dict:
@@ -247,6 +247,8 @@ def bootstrap_test(predictors, responses, family: parfit.ParametricFamily, cfg: 
     theta_hat, residuals, failed = null_bootstrap(predictors, responses, family, cfg)
     cache = node_cache(predictors, cfg)
     values = statistic_from_residuals(cache, residuals)
+    if not np.all(np.isfinite(values)):
+        raise RuntimeError("non-finite statistic: residuals too large to square, or not finite")
     observed, replicate_stats = float(values[0]), values[1:]
     return GofResult(
         statistic=observed,

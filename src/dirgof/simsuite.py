@@ -11,8 +11,8 @@ bandwidth to bandwidth.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import pi, sqrt
 
 import numpy as np
@@ -213,20 +213,25 @@ class TraceResult:
                 )
 
 
-def _trial_p_values(args) -> np.ndarray:
+def _run_trials(trial, trials: int, workers: int) -> list:
+    """``[trial(i) for i in range(trials)]``, over a process pool when workers > 1.
+
+    Each trial seeds its own substream from its index, so the results do
+    not depend on the worker count.
+    """
+    if workers <= 1:
+        return [trial(i) for i in range(trials)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(trial, range(trials), chunksize=max(1, trials // (8 * workers))))
+
+
+def _trial_p_values(
+    trial: int, scenario, n, h_grid, bootstrap, degree, seed, under_null, local_alternative,
+    quad_resolution,
+) -> np.ndarray:
     """p-values over the bandwidth grid for one Monte Carlo trial."""
-    (
-        scenario,
-        n,
-        h_grid,
-        bootstrap,
-        degree,
-        seed,
-        trial,
-        under_null,
-        local_alternative,
-        quad_resolution,
-    ) = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
     quadrature = goftest.default_quadrature(scenario.q, quad_resolution, seed=seed)
     # a local alternative adds its h-dependent drift to null responses
@@ -285,27 +290,12 @@ def significance_trace(
     if (local_alternative or not under_null) and scenario.deviation is None:
         raise ValueError(f"scenario {scenario.id} has no deviation to switch on")
     alphas = np.asarray(sorted(float(a) for a in alphas))
-    jobs = [
-        (
-            scenario,
-            n,
-            h_grid,
-            bootstrap,
-            degree,
-            seed,
-            trial,
-            under_null,
-            local_alternative,
-            quad_resolution,
-        )
-        for trial in range(trials)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_trial_p_values, jobs, chunksize=max(1, trials // (8 * workers))))
-    else:
-        rows = [_trial_p_values(job) for job in jobs]
-    p_values = np.vstack(rows)
+    trial = partial(
+        _trial_p_values, scenario=scenario, n=n, h_grid=h_grid, bootstrap=bootstrap,
+        degree=degree, seed=seed, under_null=under_null, local_alternative=local_alternative,
+        quad_resolution=quad_resolution,
+    )
+    p_values = np.vstack(_run_trials(trial, trials, workers))
     rejections = np.stack(
         [(p_values[:, i][:, None] < alphas[None, :]).mean(axis=0) for i in range(h_grid.size)]
     )
@@ -340,8 +330,7 @@ class QqResult:
     scale: float
 
 
-def _qq_trial(args) -> float:
-    scenario, n, h, degree, seed, trial, quad_resolution = args
+def _qq_trial(trial: int, scenario, n, h, degree, seed, quad_resolution) -> float:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
     quadrature = goftest.default_quadrature(scenario.q, quad_resolution, seed=seed)
     predictors, responses = generate(scenario, n, rng, under_null=True)
@@ -379,14 +368,11 @@ def qq_experiment(
     center, scale = goftest.asymptotic_center_scale(
         fit_cfg, scenario.q, n, sigma2 * area, variance
     )
-    jobs = [
-        (scenario, n, h, degree, seed, trial, quad_resolution) for trial in range(trials)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(_qq_trial, jobs, chunksize=max(1, trials // (8 * workers))))
-    else:
-        stats = [_qq_trial(job) for job in jobs]
+    trial = partial(
+        _qq_trial, scenario=scenario, n=n, h=h, degree=degree, seed=seed,
+        quad_resolution=quad_resolution,
+    )
+    stats = _run_trials(trial, trials, workers)
     values = np.array(
         [
             goftest.standardized_statistic(t, fit_cfg, scenario.q, n, center, scale)

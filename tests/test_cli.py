@@ -1,8 +1,10 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dirgof import cli, simsuite
 
@@ -152,7 +154,7 @@ def test_config_file_with_flag_override(tmp_path):
     assert rows[1].split(",")[6] == "2"  # M column reflects the override
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("command trace\n")
     assert run_main("--config", str(bad), "--out", "x.csv") == cli.EXIT_DATA_ERROR
@@ -163,6 +165,42 @@ def test_config_file_errors(tmp_path):
     badnum = tmp_path / "badnum.cfg"
     badnum.write_text("command = trace\nn = ten\n")
     assert run_main("--config", str(badnum), "--out", "x.csv") == cli.EXIT_DATA_ERROR
+    # every value the matching flag refuses is refused in a file, at its line
+    for line in ("command = bogus", "family = bogus", "hypothesis = simpl",
+                 "noise = homo", "h = nan", "config = other.cfg", "local_alt = maybe"):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"scenario = S1\n# comment\n{line}\n")
+        capsys.readouterr()
+        assert run_main("--config", str(cfgfile), "--out", "x.csv") == cli.EXIT_DATA_ERROR, line
+        assert f"{cfgfile}:3: " in capsys.readouterr().err, line
+
+
+def test_local_alt_flag_and_file_line(tmp_path):
+    assert cli._merge(["--local-alt"])["local_alt"] is True
+    assert cli._merge([])["local_alt"] is False
+    cfgfile = tmp_path / "alt.cfg"
+    for value, expected in (("yes", True), ("no", False)):
+        cfgfile.write_text(f"local_alt = {value}\n")
+        assert cli._merge(["--config", str(cfgfile)])["local_alt"] is expected
+
+
+@pytest.mark.parametrize(
+    "preset", sorted((Path(__file__).parents[1] / "scripts" / "presets").glob("*.cfg")),
+    ids=lambda path: path.stem,
+)
+def test_preset_config_matches_flags(preset):
+    """A config file merges to the same run as the flags its lines spell."""
+    flags = []
+    for line in preset.read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            flags += [f"--{key.replace('_', '-')}", value]
+    from_file = cli._merge(["--config", str(preset)])
+    from_flags = cli._merge(flags)
+    assert from_file.pop("config") == str(preset)
+    assert from_flags.pop("config") is None
+    assert from_file == from_flags
 
 
 def test_custom_inline_scenario(tmp_path):
@@ -234,6 +272,8 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_test_and_trace_load_no_scipy(tmp_path):
     """A default-kernel test call and S1/S2 trace trials import no scipy module.
 
+    With one worker they load no process-pool module either.
+
     The paths that need scipy import it where they run: the test-variance
     factor (Gauss-Jacobi nodes), custom-kernel constants (adaptive
     quadrature) and the constrained-linear fit (null space).
@@ -255,6 +295,7 @@ for scenario_id, q, degree in (("S1", 2, 0), ("S2", 3, 1)):
                                 h_grid=[0.5], trials=1, bootstrap=10, degree=degree)
 loaded = [name for name in sys.modules if name.startswith("scipy")]
 assert not loaded, loaded
+assert "concurrent.futures.process" not in sys.modules
 
 variance = kernels.gof_asymptotic_variance(kernels.VON_MISES, 2, 1.0)
 assert abs(variance * 8.0 * pi - 1.0) < 1e-6, variance
@@ -269,6 +310,21 @@ assert "scipy.integrate" in sys.modules and "scipy.linalg" in sys.modules
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["p_value"] >= 0.0
+
+
+def test_overflowing_response_is_a_numeric_failure(tmp_path):
+    """A finite response too large to square exits 3 instead of writing Infinity."""
+    data = tmp_path / "d.csv"
+    write_sample_csv(data, n=60)
+    lines = data.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",1e200"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run_main("--command", "test", "--data", str(data), "--h", "0.5", "--B", "20",
+                      "--out", str(out))
+    assert rc == cli.EXIT_NUMERIC_ERROR
+    assert not out.exists()
 
 
 def test_non_finite_inputs_are_data_errors(tmp_path, capsys):
