@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import re
 import sys
 from math import isfinite, sqrt
 from pathlib import Path
@@ -143,6 +144,18 @@ def _build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv) -> list[str]:
+    """``--theta0 -1,0.5`` as ``--theta0=-1,0.5``: argparse reads a separate
+    value that starts with a minus sign as an option unless it is one number."""
+    joined = []
+    for arg in argv:
+        if joined and re.match(r"--[^=]+$", joined[-1]) and re.match(r"-\.?\d", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _merge(argv) -> dict:
     """File keys first, command line flags on top, both checked as _build_parser declares.
 
@@ -150,6 +163,7 @@ def _merge(argv) -> dict:
     line at a time so an error names its line; keys must be exact option
     names (abbreviations are refused) other than ``config``.
     """
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     path = parser.parse_args(argv).config
     namespace = argparse.Namespace()

@@ -6,7 +6,10 @@ by a kernel density estimate of the design (and an optional weight
 function).  Because both smoothers share the same effective weights, the
 gap reduces to the smoothed parametric residuals, so the weight rows, the
 density estimate and the quadrature are computed once per bandwidth and
-shared read-only across the wild bootstrap replicates.
+shared read-only across the wild bootstrap replicates.  They are built per
+block of ``locreg.NODE_BLOCK`` nodes and the statistic's Gram matrix from
+slices of ``GRAM_SLICE`` nodes, so the (m, n) weight rows are the one
+node-by-data array a test call holds; a trace adds its cached chordal gaps.
 
 Calibration follows a residual wild bootstrap with golden-section
 multipliers: resampled responses are the parametric fit plus residuals
@@ -37,6 +40,9 @@ GOLDEN_PROB_LOW = (5.0 + sqrt(5.0)) / 10.0
 DEFAULT_NODE_RESOLUTION = {1: 256, 2: 48}
 DEFAULT_MC_NODES = 20_000
 MAX_FAILED_REPLICATE_FRACTION = 0.05
+# nodes per slice of the Gram matrix; coarse, as a syrk over fewer nodes runs
+# slower per flop (S1's 2304 x 500 rows: 5-9 % slower as 2048 + 256 nodes)
+GRAM_SLICE = 8 * locreg.NODE_BLOCK
 
 
 def default_quadrature(q: int, resolution: int | None = None, seed: int = 0) -> SphereQuadrature:
@@ -87,19 +93,34 @@ class NodeCache:
 
 
 def node_cache(predictors, cfg: GofConfig, gaps=None) -> NodeCache:
-    """Weight rows and the density/weight/quadrature factor at every node;
-    ``gaps`` as in ``locreg.kernel_weight_matrix``, shared by a bandwidth grid."""
+    """Weight rows and the density/weight/quadrature factor at every node,
+    built per block of ``locreg.NODE_BLOCK`` nodes so the rows are the one (m, n)
+    array; ``gaps`` as in ``locreg.kernel_weight_matrix``, shared by a grid."""
     predictors = np.asarray(predictors, dtype=float)
     q = predictors.shape[1] - 1
     nodes = cfg.quadrature.nodes
-    raw = locreg.kernel_weight_matrix(nodes, predictors, cfg.fit, gaps=gaps)
-    rows, flags = locreg.weight_rows(nodes, predictors, cfg.fit, raw=raw)
-    fhat = normalizing_constant(cfg.fit.kernel, q, cfg.fit.bandwidth) * raw.mean(axis=1)
-    wvals = np.ones(len(nodes)) if cfg.weight_fn is None else np.asarray(
+    m = len(nodes)
+    wvals = np.ones(m) if cfg.weight_fn is None else np.asarray(
         cfg.weight_fn(nodes), dtype=float
     )
     if not np.all((wvals >= 0) & (wvals < np.inf)):
         raise ValueError("weight_fn must return finite, non-negative values")
+    rows, flags, means = np.empty((m, len(predictors))), np.empty(m, dtype=bool), np.empty(m)
+    for block in locreg.node_blocks(m):
+        raw = locreg.kernel_weight_matrix(
+            nodes[block], predictors, cfg.fit, gaps=None if gaps is None else gaps[block]
+        )
+        means[block] = raw.mean(axis=1)
+        # skip a block with an empty node, so that the error counts them all
+        if means[block].all():
+            flags[block] = locreg.weight_rows(
+                nodes[block], predictors, cfg.fit, raw=raw, out=rows[block]
+            )[1]
+    if not means.all():
+        raise locreg.SingularGramError(
+            f"{int((means == 0).sum())} nodes have all-zero kernel weights"
+        )
+    fhat = normalizing_constant(cfg.fit.kernel, q, cfg.fit.bandwidth) * means
     return NodeCache(
         rows=rows,
         node_factor=cfg.quadrature.weights * fhat * wvals,
@@ -111,19 +132,29 @@ def statistic_from_residuals(cache: NodeCache, residuals) -> np.ndarray | float:
     """Quadrature of the squared smoothed residuals; rows of a matrix batch.
 
     A batch of r rows over n points and m nodes is the quadratic form e G e^T
-    with the n x n Gram matrix G = S^T S, S = diag(sqrt(f)) R (a syrk, f >= 0);
-    it is evaluated that way when it takes fewer flops, n (m + 2 r) < 2 m r,
-    and otherwise by smoothing every row at every node.
+    with the n x n Gram matrix G = S^T S, S = diag(sqrt(f)) R (a syrk, f >= 0,
+    summed over slices of GRAM_SLICE nodes); it is evaluated that way when it
+    takes fewer flops, n (m + 2 r) < 2 m r, and otherwise by smoothing every
+    row at every node.
     """
     residuals = np.asarray(residuals, dtype=float)
     if residuals.ndim == 1:
         return float(cache.node_factor @ (cache.rows @ residuals) ** 2)
     (m, n), r = cache.rows.shape, residuals.shape[0]
     if n * (m + 2 * r) < 2 * m * r:
-        root = cache.rows * np.sqrt(cache.node_factor)[:, None]
-        gram = root.T @ root
+        scale = np.sqrt(cache.node_factor)[:, None]
+        first, *rest = locreg.node_blocks(m, GRAM_SLICE)
+        gram = _scaled_gram(cache.rows[first], scale[first])
+        for part in rest:
+            gram += _scaled_gram(cache.rows[part], scale[part])
         return np.einsum("bi,bi->b", residuals @ gram, residuals)
     return cache.node_factor @ (cache.rows @ residuals.T) ** 2
+
+
+def _scaled_gram(rows, scale):
+    """S^T S of S = diag(scale) rows, a syrk; S lives only in this call."""
+    root = rows * scale
+    return root.T @ root
 
 
 def statistic(predictors, responses, family: parfit.ParametricFamily, theta, cfg: GofConfig) -> float:

@@ -33,6 +33,11 @@ MOMENT_GATE = 1e-11
 NODE_BLOCK = 512
 
 
+def node_blocks(count: int, size: int = NODE_BLOCK) -> list[slice]:
+    """Slices that cover ``range(count)`` in order, ``size`` at a time."""
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
 class SingularGramError(RuntimeError):
     """All kernel weights vanished; no local fit exists at this point."""
 
@@ -86,14 +91,17 @@ def _check_size(n: int, q: int, cfg: LocalFitConfig) -> None:
         raise ValueError("need at least one observation")
 
 
-def _coefficient_weights(nodes, predictors, raw, degree: int, gradient: bool = True):
+def _coefficient_weights(
+    nodes, predictors, raw, degree: int, gradient: bool = True, out=None
+):
     """Coefficient weights of the local fits at a stack of nodes.
 
     Returns (m, p, n) weights, so that ``weights[j] @ y`` is the coefficient
     vector at node j (fitted value first, then the projected gradient unless
     ``gradient`` is false), and the (m,) mask of nodes where the ridge
     fallback fired.  Degree 1 takes the moments where their gate passes and
-    the stacked QR at every other node.
+    the stacked QR at every other node; degree 0 may write its (m, n) rows
+    into ``out``.
     """
     sums = raw.sum(axis=1)
     if np.any(sums <= 0):
@@ -101,7 +109,8 @@ def _coefficient_weights(nodes, predictors, raw, degree: int, gradient: bool = T
             f"{int((sums <= 0).sum())} nodes have all-zero kernel weights"
         )
     if degree == 0:
-        return (raw / sums[:, None])[:, None, :], np.zeros(len(nodes), dtype=bool)
+        rows = np.divide(raw, sums[:, None], out=out)
+        return rows[:, None, :], np.zeros(len(nodes), dtype=bool)
     # exact power-of-4 rescale to peak ~1: no row changes, but the moments
     # and Gram matrices of nodes near WEIGHT_FLOOR cannot reach subnormals
     raw = np.ldexp(raw, -2 * (np.frexp(raw.max(axis=1))[1] // 2)[:, None])
@@ -203,27 +212,25 @@ def local_weights(x, predictors, cfg: LocalFitConfig) -> np.ndarray:
     return _fit_at(x, predictors, cfg)[0][0]
 
 
-def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None):
+def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None, out=None):
     """Effective weights at many evaluation points.
 
     Returns an (m, n) matrix of rows and an (m,) mask of nodes where the
     ridge fallback fired.  Degree 0 is one vectorized division; degree 1
     runs in blocks of ``NODE_BLOCK`` nodes, which bounds the memory of the
     stacked factorizations.  ``raw`` may carry a precomputed kernel matrix to
-    share with a density estimate.
+    share with a density estimate, and ``out`` the (m, n) array to fill.
     """
     nodes = np.asarray(nodes, dtype=float)
     predictors = np.asarray(predictors, dtype=float)
     _check_size(len(predictors), predictors.shape[1] - 1, cfg)
     if raw is None:
         raw = kernel_weight_matrix(nodes, predictors, cfg)
+    rows = np.empty_like(raw) if out is None else out
     if cfg.degree == 0:
-        coef, flags = _coefficient_weights(nodes, predictors, raw, 0)
-        return coef[:, 0], flags
-    rows = np.empty_like(raw)
+        return rows, _coefficient_weights(nodes, predictors, raw, 0, out=rows)[1]
     flags = np.empty(len(nodes), dtype=bool)
-    for start in range(0, len(nodes), NODE_BLOCK):
-        block = slice(start, start + NODE_BLOCK)
+    for block in node_blocks(len(nodes)):
         coef, flags[block] = _coefficient_weights(
             nodes[block], predictors, raw[block], 1, gradient=False
         )

@@ -94,6 +94,20 @@ def test_simple_hypothesis_via_cli(tmp_path):
     assert json.loads(out.read_text())["config"]["hypothesis"] == "simple"
 
 
+def test_negative_list_value_in_both_spellings(tmp_path):
+    """A value that starts with a minus sign may follow its flag or be joined by '='."""
+    data = tmp_path / "s2.csv"
+    write_sample_csv(data)
+    base = ["--command", "test", "--data", str(data), "--family", "linear",
+            "--hypothesis", "simple", "--h", "0.5", "--B", "50"]
+    outs = [tmp_path / "separate.json", tmp_path / "joined.json"]
+    assert run_main(*base, "--theta0", "-1,-1.5,0.5", "--out", str(outs[0])) == 0
+    assert run_main(*base, "--theta0=-1,-1.5,0.5", "--out", str(outs[1])) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert cli._merge(["--theta0", "-.5,2", "--seed", "-3"])["theta0"] == "-.5,2"
+    assert cli._merge(["--deviation-coef", "-0.25"])["deviation_coef"] == -0.25
+
+
 def test_trace_row_count_and_determinism(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

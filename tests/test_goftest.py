@@ -1,10 +1,11 @@
+import tracemalloc
 from math import pi, sqrt
 
 import numpy as np
 import pytest
 
-from dirgof import goftest, parfit
-from dirgof.kernels import VON_MISES, gof_asymptotic_variance
+from dirgof import goftest, locreg, parfit
+from dirgof.kernels import VON_MISES, gof_asymptotic_variance, normalizing_constant
 from dirgof.locreg import LocalFitConfig
 from dirgof.sphere import sample_uniform
 
@@ -103,6 +104,86 @@ def test_gram_and_direct_forms_agree(n, r, degree, weight_fn, rng):
     np.testing.assert_allclose(batch, direct, rtol=1e-10, atol=0)
     np.testing.assert_allclose(batch, gram, rtol=1e-10, atol=0)
     np.testing.assert_allclose(batch[:3], single, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize(
+    "weight_fn", [None, lambda nodes: 1.0 + nodes[:, 0] ** 2], ids=["unweighted", "weighted"]
+)
+@pytest.mark.parametrize("with_gaps", [False, True], ids=["products", "gaps"])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_blocked_node_cache_matches_one_shot_build(degree, with_gaps, weight_fn, rng):
+    """node_cache walks the 72 x 72 nodes of a q=2 grid in blocks of NODE_BLOCK
+    (10.1 blocks) and sums the Gram matrix over slices of GRAM_SLICE (2 slices);
+    the reference builds each (m, n) array at once."""
+    predictors, _ = sample_constant_model(rng, n=80, q=2)
+    cfg = goftest.GofConfig(
+        fit=LocalFitConfig(degree=degree, bandwidth=0.5),
+        quadrature=goftest.default_quadrature(2, 72),
+        weight_fn=weight_fn,
+    )
+    nodes = cfg.quadrature.nodes
+    m = len(nodes)
+    assert m % locreg.NODE_BLOCK and locreg.NODE_BLOCK < goftest.GRAM_SLICE < m
+    gaps = 1.0 - nodes @ predictors.T if with_gaps else None
+    cache = goftest.node_cache(predictors, cfg, gaps)
+
+    raw = locreg.kernel_weight_matrix(nodes, predictors, cfg.fit, gaps=gaps)
+    rows, flags = locreg.weight_rows(nodes, predictors, cfg.fit, raw=raw)
+    wvals = np.ones(m) if weight_fn is None else weight_fn(nodes)
+    node_factor = cfg.quadrature.weights * (
+        normalizing_constant(VON_MISES, 2, cfg.fit.bandwidth) * raw.mean(axis=1)
+    ) * wvals
+    np.testing.assert_array_equal(cache.regularized, flags)
+    if with_gaps:
+        np.testing.assert_array_equal(cache.rows, rows)
+        np.testing.assert_array_equal(cache.node_factor, node_factor)
+    else:
+        np.testing.assert_allclose(cache.rows, rows, rtol=1e-13, atol=1e-13 * np.abs(rows).max())
+        np.testing.assert_allclose(cache.node_factor, node_factor, rtol=1e-13, atol=0)
+
+    residuals = rng.standard_normal((300, 80))
+    root = rows * np.sqrt(node_factor)[:, None]
+    one_shot = np.einsum("bi,bi->b", residuals @ (root.T @ root), residuals)
+    np.testing.assert_allclose(
+        goftest.statistic_from_residuals(cache, residuals), one_shot, rtol=1e-12, atol=0
+    )
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_node_cache_counts_empty_nodes_of_every_block(degree, rng):
+    """Nodes with no kernel mass abort the build, and the error counts them
+    over the whole quadrature, not only in the first block that has one."""
+    predictors = sample_uniform(2, 30, rng) + [0.0, 0.0, 3.0]  # a cap at the north pole
+    predictors /= np.linalg.norm(predictors, axis=1, keepdims=True)
+    cfg = make_cfg(q=2, degree=degree, h=0.03)
+    raw = locreg.kernel_weight_matrix(cfg.quadrature.nodes, predictors, cfg.fit)
+    empty = raw.sum(axis=1) == 0
+    per_block = [empty[block].sum() for block in locreg.node_blocks(len(empty))]
+    assert sum(count > 0 for count in per_block) > 1
+    with pytest.raises(locreg.SingularGramError, match=f"^{empty.sum()} nodes "):
+        goftest.node_cache(predictors, cfg)
+
+
+def test_test_call_peak_memory_near_one_rows_array():
+    """A degree-1 test at q=3 keeps the rows as its only (m, n) array: its
+    traced peak stays near m n doubles, where a build of the whole kernel
+    matrix, gap block and scaled Gram root at once reaches about 3 m n."""
+    rng = np.random.default_rng(11)
+    m, n = 12_000, 150
+    predictors = sample_uniform(3, n, rng)
+    responses = 1.0 + predictors[:, 0] + 0.5 * rng.standard_normal(n)
+    cfg = goftest.GofConfig(
+        fit=LocalFitConfig(degree=1, bandwidth=0.5),
+        quadrature=goftest.default_quadrature(3, m),
+        bootstrap=100,
+    )
+    tracemalloc.start()
+    try:
+        goftest.bootstrap_test(predictors, responses, parfit.linear_family(3), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m * n * 8 + 4e6, peak / (m * n * 8)
 
 
 def test_statistic_permutation_invariant(rng):
