@@ -34,11 +34,8 @@ from .locreg import (
     LocalFit,
     LocalFitConfig,
     SingularGramError,
-    asymptotic_bias_variance,
-    equivalent_kernel_estimate,
     estimate,
     local_weights,
-    smooth_parametric,
     weight_rows,
 )
 from .parfit import (
@@ -71,7 +68,6 @@ from .sphere import (
     projection_basis,
     sample_uniform,
     surface_area,
-    tangent_normal_point,
     unit_rows,
     unit_vector,
 )

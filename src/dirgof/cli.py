@@ -302,9 +302,10 @@ def cmd_test(cfg: dict) -> int:
         raise DataError(
             f"sample of {len(predictors)} rows is too small for this configuration"
         )
+    fit = LocalFitConfig(degree=cfg["p"], bandwidth=cfg["h"])
     gof_cfg = goftest.GofConfig(
-        fit=LocalFitConfig(degree=cfg["p"], bandwidth=cfg["h"]),
-        quadrature=goftest.default_quadrature(q, cfg["quad_res"], seed=cfg["seed"]),
+        fit=fit,
+        quadrature=goftest.default_quadrature(q, cfg["quad_res"], seed=cfg["seed"], fit=fit),
         bootstrap=cfg["B"],
         seed=cfg["seed"],
         hypothesis=cfg["hypothesis"],

@@ -39,16 +39,41 @@ GOLDEN_PROB_LOW = (5.0 + sqrt(5.0)) / 10.0
 
 DEFAULT_NODE_RESOLUTION = {1: 256, 2: 48}
 DEFAULT_MC_NODES = 20_000
+# q=2 degree-0 resolution by bandwidth, (lowest h, r) widest first: from these
+# h the statistic is within 1e-11 relative of the 48 x 48 rule's for S1-S4
+# samples of n >= 20 (BENCH_11.json); sparser data need larger h
+Q2_DEGREE0_TIERS = ((0.82, 24), (0.66, 32))
 MAX_FAILED_REPLICATE_FRACTION = 0.05
 # nodes per slice of the Gram matrix; coarse, as a syrk over fewer nodes runs
 # slower per flop (S1's 2304 x 500 rows: 5-9 % slower as 2048 + 256 nodes)
 GRAM_SLICE = 8 * locreg.NODE_BLOCK
 
 
-def default_quadrature(q: int, resolution: int | None = None, seed: int = 0) -> SphereQuadrature:
-    """Integration rule sized so quadrature error is far below bootstrap noise."""
+def default_resolution(q: int, fit: LocalFitConfig | None = None) -> int:
+    """Resolution of the default rule: a q=2 degree-0 fit takes the coarsest
+    tier of ``Q2_DEGREE0_TIERS`` its bandwidth reaches, anything else one
+    fixed size per q."""
+    if q == 2 and fit is not None and fit.degree == 0:
+        for low, resolution in Q2_DEGREE0_TIERS:
+            if fit.bandwidth >= low:
+                return resolution
+    return DEFAULT_NODE_RESOLUTION.get(q, DEFAULT_MC_NODES)
+
+
+def default_quadrature(
+    q: int, resolution: int | None = None, seed: int = 0, fit: LocalFitConfig | None = None
+) -> SphereQuadrature:
+    """Integration rule for the statistic; ``resolution`` pins it, else
+    ``default_resolution(q, fit)`` sizes it.
+
+    The p-value is exact for the discretized statistic whatever the rule, as
+    the bootstrap replicates share its nodes; the rule only sets how closely
+    that statistic tracks the integral.  At q=2 the 48 x 48 rule is under-
+    resolved at small h (4e-4 relative at h = 0.1 for degree 0, 6e-3 for
+    degree 1); q>=3 takes 20 000 Monte Carlo nodes, 0.7-3 % off at every h.
+    """
     if resolution is None:
-        resolution = DEFAULT_NODE_RESOLUTION.get(q, DEFAULT_MC_NODES)
+        resolution = default_resolution(q, fit)
     return build_quadrature(q, resolution=resolution, seed=seed)
 
 

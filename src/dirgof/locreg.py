@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import VON_MISES, DirectionalKernel, kernel_constants
+from .kernels import VON_MISES, DirectionalKernel
 from .sphere import tangent_bases
 
 WEIGHT_FLOOR = 1e-300
@@ -91,6 +91,14 @@ def _check_size(n: int, q: int, cfg: LocalFitConfig) -> None:
         raise ValueError("need at least one observation")
 
 
+def _kernel_mass(raw) -> np.ndarray:
+    """Row sums of kernel values; an empty row raises, counting every one."""
+    sums = raw.sum(axis=1)
+    if np.any(sums <= 0):
+        raise SingularGramError(f"{int((sums <= 0).sum())} nodes have all-zero kernel weights")
+    return sums
+
+
 def _coefficient_weights(
     nodes, predictors, raw, degree: int, gradient: bool = True, out=None
 ):
@@ -103,11 +111,7 @@ def _coefficient_weights(
     the stacked QR at every other node; degree 0 may write its (m, n) rows
     into ``out``.
     """
-    sums = raw.sum(axis=1)
-    if np.any(sums <= 0):
-        raise SingularGramError(
-            f"{int((sums <= 0).sum())} nodes have all-zero kernel weights"
-        )
+    sums = _kernel_mass(raw)
     if degree == 0:
         rows = np.divide(raw, sums[:, None], out=out)
         return rows[:, None, :], np.zeros(len(nodes), dtype=bool)
@@ -230,11 +234,15 @@ def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None, out=None):
     if cfg.degree == 0:
         return rows, _coefficient_weights(nodes, predictors, raw, 0, out=rows)[1]
     flags = np.empty(len(nodes), dtype=bool)
-    for block in node_blocks(len(nodes)):
-        coef, flags[block] = _coefficient_weights(
-            nodes[block], predictors, raw[block], 1, gradient=False
-        )
-        rows[block] = coef[:, 0]
+    try:
+        for block in node_blocks(len(nodes)):
+            coef, flags[block] = _coefficient_weights(
+                nodes[block], predictors, raw[block], 1, gradient=False
+            )
+            rows[block] = coef[:, 0]
+    except SingularGramError:
+        _kernel_mass(raw)  # raises again, counting the empty nodes of every block
+        raise
     return rows, flags
 
 
@@ -245,62 +253,3 @@ def estimate(x, predictors, responses, cfg: LocalFitConfig) -> LocalFit:
     return LocalFit(
         value=float(beta[0]), gradient=beta[1:], weights=coef[0], regularized=regularized
     )
-
-
-def smooth_parametric(model_values, rows) -> np.ndarray:
-    """Apply precomputed weight rows to known function values at the data."""
-    model_values = np.asarray(model_values, dtype=float)
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape[-1] != model_values.shape[0]:
-        raise ValueError(
-            f"length mismatch: rows act on {rows.shape[-1]} values, got {model_values.shape[0]}"
-        )
-    return rows @ model_values
-
-
-def equivalent_kernel_estimate(
-    x, predictors, responses, cfg: LocalFitConfig, density_at_x: float
-) -> float:
-    """Plain kernel average with the asymptotic equivalent-kernel weights.
-
-    Diagnostic companion of ``estimate``: identical for degree 0 and 1 by
-    construction, and asymptotically equivalent to the local fit.
-    """
-    if density_at_x <= 0:
-        raise ValueError("density value at x must be positive")
-    predictors = np.asarray(predictors, dtype=float)
-    responses = np.asarray(responses, dtype=float)
-    q = predictors.shape[1] - 1
-    n = len(predictors)
-    raw = kernel_weights(x, predictors, cfg)
-    scale = kernel_constants(cfg.kernel, q).scale
-    return float(
-        (raw @ responses) / (n * cfg.bandwidth**q * scale * density_at_x)
-    )
-
-
-def asymptotic_bias_variance(
-    q: int,
-    density: float,
-    grad_inner: float,
-    hessian_trace: float,
-    sigma2: float,
-    cfg: LocalFitConfig,
-    n: int,
-) -> tuple[float, float]:
-    """Leading conditional bias and variance of the local fit at a point.
-
-    ``grad_inner`` is the inner product of the density and regression
-    gradients (its extra bias term only enters the degree 0 fit);
-    ``hessian_trace`` the trace of the regression Hessian under the radial
-    extension.  Diagnostic values for validating simulations.
-    """
-    if density <= 0 or sigma2 <= 0:
-        raise ValueError("density and conditional variance must be positive")
-    consts = kernel_constants(cfg.kernel, q)
-    curvature = hessian_trace
-    if cfg.degree == 0:
-        curvature = curvature + 2.0 * grad_inner / density
-    bias = (consts.moment_ratio / q) * curvature * cfg.bandwidth**2
-    variance = consts.variance_factor * sigma2 / (n * cfg.bandwidth**q * density)
-    return bias, variance

@@ -233,17 +233,22 @@ def _trial_p_values(
 ) -> np.ndarray:
     """p-values over the bandwidth grid for one Monte Carlo trial."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-    quadrature = goftest.default_quadrature(scenario.q, quad_resolution, seed=seed)
     # a local alternative adds its h-dependent drift to null responses
     predictors, responses = generate(scenario, n, rng, under_null=under_null or local_alternative)
     multipliers = goftest.golden_section_draws((bootstrap, n), rng)
-    # the chordal gaps do not depend on h: one (m, n) block serves the grid
-    gaps = 1.0 - quadrature.nodes @ predictors.T
     out = np.empty(len(h_grid))
-    residuals = None
+    residuals = resolution = None
     for i, h in enumerate(h_grid):
+        fit = LocalFitConfig(degree=degree, bandwidth=float(h))
+        rule = quad_resolution or goftest.default_resolution(scenario.q, fit)
+        # the chordal gaps do not depend on h: one (m, n) block serves each
+        # rule, and the sorted grid meets each rule's bandwidths in one run
+        if rule != resolution:
+            resolution, gaps = rule, None  # drop the old block before the new one
+            quadrature = goftest.default_quadrature(scenario.q, resolution, seed=seed)
+            gaps = 1.0 - quadrature.nodes @ predictors.T
         cfg = goftest.GofConfig(
-            fit=LocalFitConfig(degree=degree, bandwidth=float(h)),
+            fit=fit,
             quadrature=quadrature,
             bootstrap=bootstrap,
             seed=seed,
@@ -279,8 +284,10 @@ def significance_trace(
     Each trial reuses its generated sample, its multiplier block and its
     null bootstrap (null fit and refits) across the whole bandwidth grid;
     under ``local_alternative`` the responses move with h, so the null
-    bootstrap reruns per h.  Trials are independent jobs over seeded
-    substreams, so the result does not depend on the worker count.
+    bootstrap reruns per h.  ``quad_resolution`` pins one quadrature rule
+    for the grid; by default ``goftest.default_resolution`` sizes it per h.
+    Trials are independent jobs over seeded substreams, so the result does
+    not depend on the worker count.
     """
     h_grid = np.asarray(sorted(float(h) for h in h_grid))
     if h_grid.size == 0 or trials < 1 or bootstrap < 1:
@@ -332,11 +339,12 @@ class QqResult:
 
 def _qq_trial(trial: int, scenario, n, h, degree, seed, quad_resolution) -> float:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-    quadrature = goftest.default_quadrature(scenario.q, quad_resolution, seed=seed)
+    fit = LocalFitConfig(degree=degree, bandwidth=h)
+    quadrature = goftest.default_quadrature(scenario.q, quad_resolution, seed=seed, fit=fit)
     predictors, responses = generate(scenario, n, rng, under_null=True)
     theta = parfit.fit(scenario.family, predictors, responses).theta
     cfg = goftest.GofConfig(
-        fit=LocalFitConfig(degree=degree, bandwidth=h),
+        fit=fit,
         quadrature=quadrature,
         bootstrap=1,
         seed=seed,

@@ -104,18 +104,6 @@ def projection_basis(x) -> ProjectionBasis:
     )
 
 
-def tangent_normal_point(x, t: float, xi) -> np.ndarray:
-    """Map (t, xi) in [-1,1] x sphere^(q-1) to t*x + sqrt(1-t^2) B_x xi."""
-    if not -1.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [-1, 1], got {t}")
-    basis = projection_basis(x)
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (basis.columns.shape[1],):
-        raise ValueError("xi must be a unit vector of length q")
-    out = t * basis.base_point + np.sqrt(max(1.0 - t * t, 0.0)) * (basis.columns @ xi)
-    return out / np.linalg.norm(out)
-
-
 @dataclass(frozen=True, eq=False)
 class SphereQuadrature:
     """Nodes and positive weights for integration over the q-sphere.

@@ -5,17 +5,20 @@ the tests compare the generic projected fit of ``dirgof.locreg``; the
 stacked-QR local linear rows at every node, against which they compare the
 moment rows the gate lets through; the one-response Levenberg-Marquardt
 solver, against which they compare the lock-step solver of ``dirgof.parfit``
-row by row; and the QR least squares fit finished by scipy's triangular
-solve, against which they compare the closed-form linear fits.
+row by row; the QR least squares fit finished by scipy's triangular
+solve, against which they compare the closed-form linear fits; and the
+paper's closed forms that only check simulations: smoothing known model
+values, the equivalent-kernel estimate, the leading bias and variance, and
+the tangent-normal decomposition of a sphere point.
 """
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from dirgof.kernels import VON_MISES, DirectionalKernel
-from dirgof.locreg import RIDGE_FACTOR
+from dirgof.kernels import VON_MISES, DirectionalKernel, kernel_constants
+from dirgof.locreg import RIDGE_FACTOR, LocalFitConfig, kernel_weights
 from dirgof.parfit import ThetaEstimate, predict_batch
-from dirgof.sphere import tangent_bases
+from dirgof.sphere import projection_basis, tangent_bases
 
 
 def circular_local_linear(
@@ -154,3 +157,74 @@ def triangular_least_squares(family, points, responses):
     q_mat, r_mat = np.linalg.qr(design)
     thetas = solve_triangular(r_mat, q_mat.T @ responses.T, lower=False).T
     return thetas, responses - thetas @ design.T
+
+
+def smooth_parametric(model_values, rows) -> np.ndarray:
+    """Apply precomputed weight rows to known function values at the data."""
+    model_values = np.asarray(model_values, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-1] != model_values.shape[0]:
+        raise ValueError(
+            f"length mismatch: rows act on {rows.shape[-1]} values, got {model_values.shape[0]}"
+        )
+    return rows @ model_values
+
+
+def equivalent_kernel_estimate(
+    x, predictors, responses, cfg: LocalFitConfig, density_at_x: float
+) -> float:
+    """Plain kernel average with the asymptotic equivalent-kernel weights.
+
+    Diagnostic companion of ``estimate``: identical for degree 0 and 1 by
+    construction, and asymptotically equivalent to the local fit.
+    """
+    if density_at_x <= 0:
+        raise ValueError("density value at x must be positive")
+    predictors = np.asarray(predictors, dtype=float)
+    responses = np.asarray(responses, dtype=float)
+    q = predictors.shape[1] - 1
+    n = len(predictors)
+    raw = kernel_weights(x, predictors, cfg)
+    scale = kernel_constants(cfg.kernel, q).scale
+    return float(
+        (raw @ responses) / (n * cfg.bandwidth**q * scale * density_at_x)
+    )
+
+
+def asymptotic_bias_variance(
+    q: int,
+    density: float,
+    grad_inner: float,
+    hessian_trace: float,
+    sigma2: float,
+    cfg: LocalFitConfig,
+    n: int,
+) -> tuple[float, float]:
+    """Leading conditional bias and variance of the local fit at a point.
+
+    ``grad_inner`` is the inner product of the density and regression
+    gradients (its extra bias term only enters the degree 0 fit);
+    ``hessian_trace`` the trace of the regression Hessian under the radial
+    extension.  Diagnostic values for validating simulations.
+    """
+    if density <= 0 or sigma2 <= 0:
+        raise ValueError("density and conditional variance must be positive")
+    consts = kernel_constants(cfg.kernel, q)
+    curvature = hessian_trace
+    if cfg.degree == 0:
+        curvature = curvature + 2.0 * grad_inner / density
+    bias = (consts.moment_ratio / q) * curvature * cfg.bandwidth**2
+    variance = consts.variance_factor * sigma2 / (n * cfg.bandwidth**q * density)
+    return bias, variance
+
+
+def tangent_normal_point(x, t: float, xi) -> np.ndarray:
+    """Map (t, xi) in [-1,1] x sphere^(q-1) to t*x + sqrt(1-t^2) B_x xi."""
+    if not -1.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [-1, 1], got {t}")
+    basis = projection_basis(x)
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (basis.columns.shape[1],):
+        raise ValueError("xi must be a unit vector of length q")
+    out = t * basis.base_point + np.sqrt(max(1.0 - t * t, 0.0)) * (basis.columns @ xi)
+    return out / np.linalg.norm(out)

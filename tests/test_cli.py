@@ -39,6 +39,27 @@ def test_cmd_test_contract(tmp_path):
     assert len(payload["theta_hat"]) == 3
 
 
+@pytest.mark.parametrize(
+    "h, p, extra, nodes",
+    [
+        ("0.3", "0", [], 2304),
+        ("0.7", "0", [], 1024),
+        ("0.9", "0", [], 576),
+        ("0.9", "0", ["--quad-res", "48"], 2304),
+        ("0.9", "1", [], 2304),
+    ],
+)
+def test_cmd_test_echoes_the_tier_node_count(tmp_path, h, p, extra, nodes):
+    data, out = tmp_path / "s2.csv", tmp_path / "result.json"
+    write_sample_csv(data, q=2, n=40)
+    rc = run_main(
+        "--command", "test", "--data", str(data), "--h", h, "--p", p, "--B", "10",
+        "--out", str(out), *extra,
+    )
+    assert rc == 0
+    assert json.loads(out.read_text())["config"]["quadrature"]["nodes"] == nodes
+
+
 def test_cmd_test_rejects_wrong_model(tmp_path):
     """The constant family misses the linear signal at n=500."""
     rejected = 0

@@ -186,6 +186,49 @@ def test_test_call_peak_memory_near_one_rows_array():
     assert peak < 1.5 * m * n * 8 + 4e6, peak / (m * n * 8)
 
 
+def test_q2_degree0_rule_sized_by_bandwidth():
+    counts = {
+        h: goftest.default_quadrature(2, fit=LocalFitConfig(0, h)).node_count
+        for h in (0.1, 0.6599, 0.66, 0.8199, 0.82, 1.5)
+    }
+    assert counts == {0.1: 2304, 0.6599: 2304, 0.66: 1024, 0.8199: 1024, 0.82: 576, 1.5: 576}
+    assert goftest.default_quadrature(2).node_count == 2304
+    assert goftest.default_quadrature(2, 16, fit=LocalFitConfig(0, 1.5)).node_count == 256
+
+
+@pytest.mark.parametrize("q, degree", [(1, 0), (1, 1), (2, 1), (3, 0), (3, 1)])
+def test_default_rule_ignores_bandwidth_outside_q2_degree0(q, degree):
+    fixed = goftest.default_quadrature(q)
+    for h in (0.1, 0.55, 0.72, 1.5):
+        rule = goftest.default_quadrature(q, fit=LocalFitConfig(degree, h))
+        assert np.array_equal(rule.nodes, fixed.nodes)
+        assert np.array_equal(rule.weights, fixed.weights)
+
+
+@pytest.mark.parametrize("h", [low for low, _ in goftest.Q2_DEGREE0_TIERS])
+@pytest.mark.parametrize("scenario_id", ["S1", "S2", "S3", "S4"])
+def test_tier_statistics_match_the_48_rule(scenario_id, h):
+    """At the lowest bandwidth of each coarse q=2 tier, the observed and
+    bootstrap statistics on the tier's rule are within 1e-11 relative of
+    those on the 48 x 48 rule."""
+    from dirgof import simsuite
+
+    scenario = simsuite.make_scenario(scenario_id, 2)
+    predictors, responses = simsuite.generate(scenario, 30, np.random.default_rng(7))
+    fit = LocalFitConfig(degree=0, bandwidth=h)
+    tier, fine = goftest.default_quadrature(2, fit=fit), goftest.default_quadrature(2, 48)
+    assert tier.node_count < fine.node_count
+    cfg = goftest.GofConfig(fit=fit, quadrature=tier, bootstrap=40)
+    _, residuals, _ = goftest.null_bootstrap(predictors, responses, scenario.family, cfg)
+    values = [
+        goftest.statistic_from_residuals(
+            goftest.node_cache(predictors, goftest.GofConfig(fit=fit, quadrature=rule)), residuals
+        )
+        for rule in (tier, fine)
+    ]
+    np.testing.assert_allclose(values[0], values[1], rtol=1e-11, atol=0)
+
+
 def test_statistic_permutation_invariant(rng):
     predictors, responses = sample_constant_model(rng)
     family = parfit.constant_family()

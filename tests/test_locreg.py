@@ -172,21 +172,21 @@ def test_smooth_parametric_contracts(rng):
     x, predictors, responses = random_instance(rng, 1, 40)
     cfg = locreg.LocalFitConfig(degree=1, bandwidth=0.5)
     rows, _ = locreg.weight_rows(sample_uniform(1, 8, rng), predictors, cfg)
-    const = locreg.smooth_parametric(np.full(40, 2.5), rows)
+    const = oracles.smooth_parametric(np.full(40, 2.5), rows)
     assert np.max(np.abs(const - 2.5)) < 1e-12
     u, v = rng.standard_normal(40), rng.standard_normal(40)
-    lin = locreg.smooth_parametric(2.0 * u + 3.0 * v, rows)
-    parts = 2.0 * locreg.smooth_parametric(u, rows) + 3.0 * locreg.smooth_parametric(v, rows)
+    lin = oracles.smooth_parametric(2.0 * u + 3.0 * v, rows)
+    parts = 2.0 * oracles.smooth_parametric(u, rows) + 3.0 * oracles.smooth_parametric(v, rows)
     assert np.max(np.abs(lin - parts)) < 1e-12
     with pytest.raises(ValueError):
-        locreg.smooth_parametric(u[:-1], rows)
+        oracles.smooth_parametric(u[:-1], rows)
 
 
 def test_smoothing_own_responses_matches_estimate(rng):
     x, predictors, responses = random_instance(rng, 1, 40)
     cfg = locreg.LocalFitConfig(degree=0, bandwidth=0.5)
     rows, _ = locreg.weight_rows(x[None, :], predictors, cfg)
-    smoothed = locreg.smooth_parametric(responses, rows)[0]
+    smoothed = oracles.smooth_parametric(responses, rows)[0]
     assert smoothed == pytest.approx(
         locreg.estimate(x, predictors, responses, cfg).value, abs=1e-12
     )
@@ -201,8 +201,8 @@ def test_equivalent_kernel_against_estimate(rng):
     cfg1 = locreg.LocalFitConfig(degree=1, bandwidth=0.3)
     x = circle(1.2)[0]
     fhat = 1.0 / (2.0 * pi)
-    equiv0 = locreg.equivalent_kernel_estimate(x, predictors, responses, cfg0, fhat)
-    equiv1 = locreg.equivalent_kernel_estimate(x, predictors, responses, cfg1, fhat)
+    equiv0 = oracles.equivalent_kernel_estimate(x, predictors, responses, cfg0, fhat)
+    equiv1 = oracles.equivalent_kernel_estimate(x, predictors, responses, cfg1, fhat)
     assert equiv0 == equiv1
     reference = locreg.estimate(x, predictors, responses, cfg1).value
     assert equiv0 / reference == pytest.approx(1.0, abs=0.1)
@@ -212,21 +212,21 @@ def test_equivalent_kernel_single_point():
     x = np.array([1.0, 0.0])
     cfg = locreg.LocalFitConfig(degree=0, bandwidth=0.5)
     scale = kernel_constants(VON_MISES, 1).scale
-    value = locreg.equivalent_kernel_estimate(x, x[None, :], np.array([2.0]), cfg, 0.4)
+    value = oracles.equivalent_kernel_estimate(x, x[None, :], np.array([2.0]), cfg, 0.4)
     assert value == pytest.approx(2.0 / (0.5 * scale * 0.4), rel=1e-12)
 
 
 def test_bias_variance_plugin_values():
     cfg = locreg.LocalFitConfig(degree=1, bandwidth=0.3)
-    bias, variance = locreg.asymptotic_bias_variance(
+    bias, variance = oracles.asymptotic_bias_variance(
         q=1, density=1.0 / (2.0 * pi), grad_inner=0.0, hessian_trace=0.0,
         sigma2=0.25, cfg=cfg, n=1000,
     )
     assert bias == 0.0
     assert variance == pytest.approx(sqrt(pi) / 1200.0, rel=1e-10)
     # flat design: both degrees share the same leading bias
-    b0, _ = locreg.asymptotic_bias_variance(1, 0.5, 0.0, 2.0, 0.25, locreg.LocalFitConfig(0, 0.3), 1000)
-    b1, _ = locreg.asymptotic_bias_variance(1, 0.5, 0.0, 2.0, 0.25, cfg, 1000)
+    b0, _ = oracles.asymptotic_bias_variance(1, 0.5, 0.0, 2.0, 0.25, locreg.LocalFitConfig(0, 0.3), 1000)
+    b1, _ = oracles.asymptotic_bias_variance(1, 0.5, 0.0, 2.0, 0.25, cfg, 1000)
     assert b0 == pytest.approx(b1, rel=1e-12)
 
 
@@ -259,6 +259,18 @@ def test_singular_cases(rng):
         locreg.local_weights(circle(0.0)[0], predictors, cfg)
     with pytest.raises(ValueError):
         locreg.local_weights(circle(0.0)[0], predictors[:2], locreg.LocalFitConfig(1, 0.5))
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_weight_rows_count_empty_nodes_of_every_block(degree, rng):
+    """30 points in a cap at the north pole leave 1209 of the 2304 nodes
+    without kernel mass at h = 0.03, over several node blocks; both degrees
+    count them all, not those of the first block that has one."""
+    predictors = sample_uniform(2, 30, rng) + [0.0, 0.0, 3.0]
+    predictors /= np.linalg.norm(predictors, axis=1, keepdims=True)
+    nodes = goftest.default_quadrature(2).nodes
+    with pytest.raises(locreg.SingularGramError, match="^1209 nodes "):
+        locreg.weight_rows(nodes, predictors, locreg.LocalFitConfig(degree, 0.03))
 
 
 def test_ridge_fallback_flags_degenerate_design(rng):

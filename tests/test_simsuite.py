@@ -164,16 +164,19 @@ def test_refits_once_per_trial_unless_responses_move(
 
 
 def _p_values_refitting_per_bandwidth(scenario, n, h_grid, bootstrap, degree, seed, trial, quad_res):
-    """One null trial as the trace once ran it: null fit, refits and the
-    direct form of the statistic redone at every bandwidth."""
+    """One null trial as the trace once ran it: quadrature, null fit, refits
+    and the direct form of the statistic redone at every bandwidth."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-    quadrature = default_quadrature(scenario.q, quad_res, seed=seed)
     predictors, responses = simsuite.generate(scenario, n, rng)
     multipliers = goftest.golden_section_draws((bootstrap, n), rng)
     out = []
     for h in h_grid:
+        fit = LocalFitConfig(degree, h)
         cfg = goftest.GofConfig(
-            fit=LocalFitConfig(degree, h), quadrature=quadrature, bootstrap=bootstrap, seed=seed
+            fit=fit,
+            quadrature=default_quadrature(scenario.q, quad_res, seed=seed, fit=fit),
+            bootstrap=bootstrap,
+            seed=seed,
         )
         cache = goftest.node_cache(predictors, cfg)
         theta = parfit.fit(scenario.family, predictors, responses).theta
@@ -191,17 +194,70 @@ def _p_values_refitting_per_bandwidth(scenario, n, h_grid, bootstrap, degree, se
 
 @pytest.mark.parametrize(
     "scenario_id, q, degree, quad_res",
-    [("S4", 1, 0, None), ("S2", 2, 1, 16)],
+    [("S4", 1, 0, None), ("S2", 2, 1, 16), ("S1", 2, 0, None)],
 )
 def test_trace_equals_refitting_per_bandwidth(scenario_id, q, degree, quad_res):
     scenario = simsuite.make_scenario(scenario_id, q)
-    kw = dict(n=60, h_grid=[0.3, 0.6, 1.2], bootstrap=30, degree=degree, seed=31)
+    kw = dict(n=60, h_grid=[0.3, 0.6, 0.7, 1.2], bootstrap=30, degree=degree, seed=31)
     trace = simsuite.significance_trace(scenario, trials=2, quad_resolution=quad_res, **kw)
     for trial in range(2):
         expected = _p_values_refitting_per_bandwidth(
             scenario, trial=trial, quad_res=quad_res, **kw
         )
         assert trace.p_values[trial].tolist() == expected
+
+
+def _record_rules(monkeypatch):
+    """Node counts the statistic sees, and the rules built, in call order."""
+    seen = {"cache": [], "built": []}
+    node_cache, default_quadrature = goftest.node_cache, goftest.default_quadrature
+
+    def recording_cache(predictors, cfg, gaps=None):
+        seen["cache"].append(cfg.quadrature.node_count)
+        return node_cache(predictors, cfg, gaps)
+
+    def recording_rule(*args, **kwargs):
+        rule = default_quadrature(*args, **kwargs)
+        seen["built"].append(rule.node_count)
+        return rule
+
+    monkeypatch.setattr(goftest, "node_cache", recording_cache)
+    monkeypatch.setattr(goftest, "default_quadrature", recording_rule)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "degree, quad_res, counts",
+    [
+        (0, None, [2304, 2304, 1024, 576, 576]),
+        (0, 48, [2304] * 5),
+        (1, None, [2304] * 5),
+    ],
+)
+def test_trace_builds_one_rule_per_tier(monkeypatch, degree, quad_res, counts):
+    """Each bandwidth sees its tier's rule, and a trial builds a rule and its
+    gaps once per tier; ``quad_resolution`` pins one rule for every h."""
+    seen = _record_rules(monkeypatch)
+    simsuite.significance_trace(
+        simsuite.make_scenario("S1", 2), n=30, h_grid=[1.5, 0.3, 0.7, 0.9, 0.5], trials=2,
+        bootstrap=5, degree=degree, quad_resolution=quad_res,
+    )
+    assert seen["cache"] == counts * 2
+    assert seen["built"] == sorted(set(counts), reverse=True) * 2
+
+
+def test_q2_trace_p_values_match_the_48_rule():
+    scenario = simsuite.make_scenario("S1", 2)
+    kw = dict(n=80, h_grid=np.geomspace(0.1, 1.5, 20), trials=3, bootstrap=60, seed=8)
+    tiered = simsuite.significance_trace(scenario, **kw)
+    pinned = simsuite.significance_trace(scenario, quad_resolution=48, **kw)
+    assert np.array_equal(tiered.p_values, pinned.p_values)
+
+
+def test_qq_experiment_takes_the_tier_rule(monkeypatch):
+    seen = _record_rules(monkeypatch)
+    simsuite.qq_experiment(simsuite.make_scenario("QQ", 2), n=30, h=0.9, trials=1)
+    assert seen["built"] == [576]
 
 
 @pytest.mark.parametrize("h_grid", [[0.3, 0.3], [0.0, 0.3], [0.3, np.nan], [0.3, np.inf]])
