@@ -5,7 +5,6 @@ from .density import (
     DensityModel,
     density_eval,
     density_sample,
-    kde,
     mixture_model,
     named_model,
     uniform_model,

@@ -1,4 +1,4 @@
-"""Densities on the q-sphere: kernel estimation and parametric design models.
+"""Densities on the q-sphere: the parametric design models.
 
 The parametric models are von Mises-Fisher mixtures (uniform as the zero
 concentration limit).  The named models M1/M4s/M12s/M20s/M16s are the design
@@ -14,7 +14,7 @@ from math import pi
 
 import numpy as np
 
-from .kernels import DirectionalKernel, ive, normalizing_constant
+from .kernels import ive
 from .sphere import projection_basis, sample_uniform, surface_area, unit_vector
 
 _T_GRID_SIZE = 4096
@@ -144,26 +144,6 @@ def density_sample(model: DensityModel, n: int, rng: np.random.Generator) -> np.
     ]
     out = np.concatenate(blocks, axis=0)
     return out[rng.permutation(n)]
-
-
-def kde(points, sample, h: float, kernel: DirectionalKernel) -> np.ndarray:
-    """Directional kernel density estimate at one point or stacked rows.
-
-    Average of normalized kernels centered at the sample: nonnegative and,
-    up to quadrature error, integrating to one on the sphere.
-    """
-    sample = np.asarray(sample, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != sample.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: points in R^{pts.shape[1]}, sample in R^{sample.shape[1]}"
-        )
-    q = sample.shape[1] - 1
-    const = normalizing_constant(kernel, q, h)
-    vals = const * kernel((1.0 - pts @ sample.T) / h**2).mean(axis=1)
-    if np.ndim(points) == 1:
-        return float(vals[0])
-    return vals
 
 
 def _pole_mixture(q: int, kappa: float) -> DensityModel:

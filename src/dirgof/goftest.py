@@ -111,6 +111,7 @@ class NodeCache:
     rows: np.ndarray
     node_factor: np.ndarray
     regularized: np.ndarray
+    empty_count: int
 
     @property
     def regularized_count(self) -> int:
@@ -120,7 +121,9 @@ class NodeCache:
 def node_cache(predictors, cfg: GofConfig, gaps=None) -> NodeCache:
     """Weight rows and the density/weight/quadrature factor at every node,
     built per block of ``locreg.NODE_BLOCK`` nodes so the rows are the one (m, n)
-    array; ``gaps`` as in ``locreg.kernel_weight_matrix``, shared by a grid."""
+    array; ``gaps`` as in ``locreg.kernel_weight_matrix``, shared by a grid.
+    A node with no kernel mass (f̂ = 0, a zero row) is counted; only a rule
+    of such nodes raises."""
     predictors = np.asarray(predictors, dtype=float)
     q = predictors.shape[1] - 1
     nodes = cfg.quadrature.nodes
@@ -136,20 +139,17 @@ def node_cache(predictors, cfg: GofConfig, gaps=None) -> NodeCache:
             nodes[block], predictors, cfg.fit, gaps=None if gaps is None else gaps[block]
         )
         means[block] = raw.mean(axis=1)
-        # skip a block with an empty node, so that the error counts them all
-        if means[block].all():
-            flags[block] = locreg.weight_rows(
-                nodes[block], predictors, cfg.fit, raw=raw, out=rows[block]
-            )[1]
-    if not means.all():
-        raise locreg.SingularGramError(
-            f"{int((means == 0).sum())} nodes have all-zero kernel weights"
-        )
+        flags[block] = locreg.weight_rows(
+            nodes[block], predictors, cfg.fit, raw=raw, out=rows[block]
+        )[1]
+    if not means.any():
+        raise locreg.SingularGramError(f"all {m} nodes have all-zero kernel weights")
     fhat = normalizing_constant(cfg.fit.kernel, q, cfg.fit.bandwidth) * means
     return NodeCache(
         rows=rows,
         node_factor=cfg.quadrature.weights * fhat * wvals,
         regularized=flags,
+        empty_count=int((means == 0).sum()),
     )
 
 
@@ -199,6 +199,7 @@ class GofResult:
     p_value: float
     theta_hat: np.ndarray
     regularized_nodes: int
+    empty_nodes: int
     failed_replicates: int
     config: dict
 
@@ -220,6 +221,7 @@ class GofResult:
             },
             "flags": {
                 "regularized_nodes": self.regularized_nodes,
+                "empty_nodes": self.empty_nodes,
                 "failed_replicates": self.failed_replicates,
             },
         }
@@ -312,6 +314,7 @@ def bootstrap_test(predictors, responses, family: parfit.ParametricFamily, cfg: 
         p_value=float(np.mean(observed <= replicate_stats)),
         theta_hat=theta_hat,
         regularized_nodes=cache.regularized_count,
+        empty_nodes=cache.empty_count,
         failed_replicates=failed,
         config=_config_echo(cfg, n, dim - 1, family.kind),
     )

@@ -9,10 +9,10 @@ replicates.
 
 Degree-1 solves run over blocks of nodes, through kernel-weighted moments
 (normal equations only where the gate proves them safe) or else an orthogonal
-factorization of the square-root-weighted design.  A rank-deficient node
-falls back to a tiny ridge on the Gram matrix and is flagged ``regularized``
-instead of aborting, so long bootstrap loops survive rare degenerate
-resamples without hiding the degradation.
+factorization of the square-root-weighted design.  A node with no kernel
+mass gets a zero row, and a degree-1 node whose design fails the rank test
+falls back to the local-constant row and is flagged ``regularized``, so
+degenerate nodes abort neither bootstrap loops nor bandwidth grids.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .kernels import VON_MISES, DirectionalKernel
 from .sphere import tangent_bases
 
 WEIGHT_FLOOR = 1e-300
-RIDGE_FACTOR = 1e-10
 _RANK_TOL = 1e-10
 # a node takes the moment form when eps (1 + |t̄|^2) / λ_min(C) is at most this
 MOMENT_GATE = 1e-11
@@ -39,7 +38,7 @@ def node_blocks(count: int, size: int = NODE_BLOCK) -> list[slice]:
 
 
 class SingularGramError(RuntimeError):
-    """All kernel weights vanished; no local fit exists at this point."""
+    """All kernel weights vanished at a point, or at every node of a rule."""
 
 
 @dataclass(frozen=True)
@@ -91,14 +90,6 @@ def _check_size(n: int, q: int, cfg: LocalFitConfig) -> None:
         raise ValueError("need at least one observation")
 
 
-def _kernel_mass(raw) -> np.ndarray:
-    """Row sums of kernel values; an empty row raises, counting every one."""
-    sums = raw.sum(axis=1)
-    if np.any(sums <= 0):
-        raise SingularGramError(f"{int((sums <= 0).sum())} nodes have all-zero kernel weights")
-    return sums
-
-
 def _coefficient_weights(
     nodes, predictors, raw, degree: int, gradient: bool = True, out=None
 ):
@@ -106,37 +97,43 @@ def _coefficient_weights(
 
     Returns (m, p, n) weights, so that ``weights[j] @ y`` is the coefficient
     vector at node j (fitted value first, then the projected gradient unless
-    ``gradient`` is false), and the (m,) mask of nodes where the ridge
-    fallback fired.  Degree 1 takes the moments where their gate passes and
-    the stacked QR at every other node; degree 0 may write its (m, n) rows
-    into ``out``.
+    ``gradient`` is false), and the (m,) mask of nodes with kernel mass that
+    fell back to local constant.  Degree 1 takes the moments where their gate
+    passes and the stacked QR at every other node; a node that fails its rank
+    test gets the row k / sum(k) and a zero gradient.  A node with no kernel
+    mass gets zero weights.  Degree 0 may write its (m, n) rows into ``out``.
     """
-    sums = _kernel_mass(raw)
+    if degree == 1:
+        # exact power-of-4 rescale to peak ~1: no row changes, but the moments
+        # and Gram matrices of nodes near WEIGHT_FLOOR cannot reach subnormals
+        raw = np.ldexp(raw, -2 * (np.frexp(raw.max(axis=1))[1] // 2)[:, None])
+    sums = raw.sum(axis=1)
+    empty = sums == 0
+    sums[empty] = 1.0  # an empty node's zero row, without 0/0
     if degree == 0:
         rows = np.divide(raw, sums[:, None], out=out)
         return rows[:, None, :], np.zeros(len(nodes), dtype=bool)
-    # exact power-of-4 rescale to peak ~1: no row changes, but the moments
-    # and Gram matrices of nodes near WEIGHT_FLOOR cannot reach subnormals
-    raw = np.ldexp(raw, -2 * (np.frexp(raw.max(axis=1))[1] // 2)[:, None])
-    coef, fast = _moment_coefficients(nodes, predictors, raw, gradient)
+    coef, fast = _moment_coefficients(nodes, predictors, raw, sums, gradient)
     flags = np.zeros(len(nodes), dtype=bool)
     if not fast.all():
         slow = ~fast
         qr_coef, flags[slow] = _qr_coefficients(nodes[slow], predictors, raw[slow])
         coef[slow] = qr_coef[:, : coef.shape[1]]
-    return coef, flags
+        coef[flags] = 0.0
+        coef[flags, 0] = raw[flags] / sums[flags, None]
+    return coef, flags & ~empty
 
 
-def _moment_coefficients(nodes, predictors, raw, gradient: bool):
+def _moment_coefficients(nodes, predictors, raw, sums, gradient: bool):
     """Degree-1 coefficient weights from three kernel-weighted moments, filled
-    only at the nodes of the returned mask, where the gate passes.
+    only at the nodes of the returned mask, where the gate passes; ``sums``
+    are the kernel masses, 1 at an empty node (its zero moments fail the gate).
 
     With t_i = B^T X_i (B^T x = 0) of weighted mean t̄ and covariance C, the
     fitted-value row is k_i (α - v^T X_i) / S0, α = 1 + t̄^T C^-1 t̄ and
     v = B C^-1 t̄, and the gradient rows are k_i C^-1 (t_i - t̄) / S0.
     """
     d = predictors.shape[1]
-    sums = raw.sum(axis=1)
     bases = tangent_bases(nodes)
     trans = np.swapaxes(bases, 1, 2)
     outer = (predictors[:, :, None] * predictors[:, None, :]).reshape(-1, d * d)
@@ -169,61 +166,51 @@ def _moment_coefficients(nodes, predictors, raw, gradient: bool):
 
 def _qr_coefficients(nodes, predictors, raw):
     """Degree-1 coefficient weights, R^-1 Q^T of the square-root-weighted
-    designs scaled by the root weights; a node whose R diagonal fails the
-    rank test takes a tiny ridge on its Gram matrix and is flagged."""
+    designs scaled by the root weights, and the mask of nodes whose R
+    diagonal fails the rank test, whose weights the caller replaces."""
     centered = predictors[None, :, :] - nodes[:, None, :]
     tangent = centered @ tangent_bases(nodes)
     design = np.concatenate([np.ones(tangent.shape[:2] + (1,)), tangent], axis=2)
     sw = np.sqrt(raw)
-    a = design * sw[:, :, None]
-    q_mat, r_mat = np.linalg.qr(a)
+    q_mat, r_mat = np.linalg.qr(design * sw[:, :, None])
     diag = np.abs(np.diagonal(r_mat, axis1=1, axis2=2))
     scale = _RANK_TOL * diag.max(axis=1)
     flags = ~((diag.min(axis=1) > scale) & (scale > 0))
-    p = design.shape[2]
     # flagged R factors may be exactly singular; an identity stands in for
-    # them until the ridge solve below overwrites their weights.  Inverting
-    # the small triangular factors is several times cheaper than a stacked
-    # solve with n right-hand sides; row 0 of R^-1 is the forward solve
-    # R^T z = e1 that gives the fitted-value weights.
-    r_mat[flags] = np.eye(p)
-    coef = (np.linalg.inv(r_mat) @ np.swapaxes(q_mat, 1, 2)) * sw[:, None, :]
-    a = a[flags]
-    gram = np.swapaxes(a, 1, 2) @ a
-    ridge = RIDGE_FACTOR * np.trace(gram, axis1=1, axis2=2) / p
-    gram[:, np.arange(p), np.arange(p)] += ridge[:, None]
-    weighted = np.swapaxes(design[flags], 1, 2) * raw[flags][:, None, :]
-    coef[flags] = np.linalg.solve(gram, weighted)
-    return coef, flags
+    # them.  Inverting the small triangular factors is several times cheaper
+    # than a stacked solve with n right-hand sides; row 0 of R^-1 is the
+    # forward solve R^T z = e1 that gives the fitted-value weights.
+    r_mat[flags] = np.eye(design.shape[2])
+    return (np.linalg.inv(r_mat) @ np.swapaxes(q_mat, 1, 2)) * sw[:, None, :], flags
 
 
 def _fit_at(x, predictors, cfg: LocalFitConfig):
-    """Coefficient weights (p, n) and the ridge flag at one point."""
+    """Coefficient weights (p, n) and the fallback flag at one point."""
     x = np.asarray(x, dtype=float)[None]
     predictors = np.asarray(predictors, dtype=float)
     _check_size(len(predictors), predictors.shape[1] - 1, cfg)
     raw = kernel_weight_matrix(x, predictors, cfg)
+    if not raw.any():
+        raise SingularGramError("all kernel weights vanish at this point")
     coef, flags = _coefficient_weights(x, predictors, raw, cfg.degree)
     return coef[0], bool(flags[0])
 
 
 def local_weights(x, predictors, cfg: LocalFitConfig) -> np.ndarray:
-    """Effective response weights of the fitted value at x.
-
-    They sum to 1 at an unregularized node; at a node where the ridge
-    fallback fired they need not (a sum between 0.5 and 1 is common).
-    """
+    """Effective response weights of the fitted value at x; they sum to 1,
+    also where a degree-1 fit falls back to local constant."""
     return _fit_at(x, predictors, cfg)[0][0]
 
 
 def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None, out=None):
     """Effective weights at many evaluation points.
 
-    Returns an (m, n) matrix of rows and an (m,) mask of nodes where the
-    ridge fallback fired.  Degree 0 is one vectorized division; degree 1
-    runs in blocks of ``NODE_BLOCK`` nodes, which bounds the memory of the
-    stacked factorizations.  ``raw`` may carry a precomputed kernel matrix to
-    share with a density estimate, and ``out`` the (m, n) array to fill.
+    Returns an (m, n) matrix of rows, zero at a node with no kernel mass and
+    summing to 1 at any other, and an (m,) mask of nodes that fell back to
+    local constant.  Degree 0 is one vectorized division; degree 1 runs in
+    blocks of ``NODE_BLOCK`` nodes, which bounds the memory of the stacked
+    factorizations.  ``raw`` may carry a precomputed kernel matrix to share
+    with a density estimate, and ``out`` the (m, n) array to fill.
     """
     nodes = np.asarray(nodes, dtype=float)
     predictors = np.asarray(predictors, dtype=float)
@@ -234,15 +221,11 @@ def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None, out=None):
     if cfg.degree == 0:
         return rows, _coefficient_weights(nodes, predictors, raw, 0, out=rows)[1]
     flags = np.empty(len(nodes), dtype=bool)
-    try:
-        for block in node_blocks(len(nodes)):
-            coef, flags[block] = _coefficient_weights(
-                nodes[block], predictors, raw[block], 1, gradient=False
-            )
-            rows[block] = coef[:, 0]
-    except SingularGramError:
-        _kernel_mass(raw)  # raises again, counting the empty nodes of every block
-        raise
+    for block in node_blocks(len(nodes)):
+        coef, flags[block] = _coefficient_weights(
+            nodes[block], predictors, raw[block], 1, gradient=False
+        )
+        rows[block] = coef[:, 0]
     return rows, flags
 
 

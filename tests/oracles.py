@@ -8,15 +8,16 @@ solver, against which they compare the lock-step solver of ``dirgof.parfit``
 row by row; the QR least squares fit finished by scipy's triangular
 solve, against which they compare the closed-form linear fits; and the
 paper's closed forms that only check simulations: smoothing known model
-values, the equivalent-kernel estimate, the leading bias and variance, and
-the tangent-normal decomposition of a sphere point.
+values, the equivalent-kernel estimate, the leading bias and variance, the
+tangent-normal decomposition of a sphere point, and the kernel density
+estimate, against which they compare the density factor of the node cache.
 """
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from dirgof.kernels import VON_MISES, DirectionalKernel, kernel_constants
-from dirgof.locreg import RIDGE_FACTOR, LocalFitConfig, kernel_weights
+from dirgof.kernels import VON_MISES, DirectionalKernel, kernel_constants, normalizing_constant
+from dirgof.locreg import LocalFitConfig, kernel_weights
 from dirgof.parfit import ThetaEstimate, predict_batch
 from dirgof.sphere import projection_basis, tangent_bases
 
@@ -76,8 +77,8 @@ def spherical_local_linear(
 
 def stacked_qr_weight_rows(nodes, predictors, raw):
     """Local linear fitted-value rows (m, n) by one stacked QR at every node,
-    with the R-diagonal rank test and the ridge fallback, and the (m,) mask
-    of nodes the rank test flagged."""
+    with the R-diagonal rank test and the local-constant row k / sum(k) at
+    every node it flags, and the (m,) mask of those nodes."""
     centered = predictors[None, :, :] - nodes[:, None, :]
     tangent = centered @ tangent_bases(nodes)
     design = np.concatenate([np.ones(tangent.shape[:2] + (1,)), tangent], axis=2)
@@ -86,17 +87,9 @@ def stacked_qr_weight_rows(nodes, predictors, raw):
     diag = np.abs(np.diagonal(r_mat, axis1=1, axis2=2))
     scale = 1e-10 * diag.max(axis=1)
     flags = ~((diag.min(axis=1) > scale) & (scale > 0))
-    p = design.shape[2]
-    r_mat[flags] = np.eye(p)
+    r_mat[flags] = np.eye(design.shape[2])
     rows = (np.linalg.inv(r_mat) @ np.swapaxes(q_mat, 1, 2))[:, 0] * sw
-    peaked = np.ldexp(raw[flags], -2 * (np.frexp(raw[flags].max(axis=1))[1] // 2)[:, None])
-    a = design[flags] * np.sqrt(peaked)[:, :, None]
-    gram = np.swapaxes(a, 1, 2) @ a
-    gram[:, np.arange(p), np.arange(p)] += (
-        RIDGE_FACTOR * np.trace(gram, axis1=1, axis2=2) / p
-    )[:, None]
-    weighted = np.swapaxes(design[flags], 1, 2) * peaked[:, None, :]
-    rows[flags] = np.linalg.solve(gram, weighted)[:, 0]
+    rows[flags] = raw[flags] / raw[flags].sum(axis=1, keepdims=True)
     return rows, flags
 
 
@@ -228,3 +221,23 @@ def tangent_normal_point(x, t: float, xi) -> np.ndarray:
         raise ValueError("xi must be a unit vector of length q")
     out = t * basis.base_point + np.sqrt(max(1.0 - t * t, 0.0)) * (basis.columns @ xi)
     return out / np.linalg.norm(out)
+
+
+def kde(points, sample, h: float, kernel: DirectionalKernel) -> np.ndarray:
+    """Directional kernel density estimate at one point or stacked rows.
+
+    Average of normalized kernels centered at the sample: nonnegative and,
+    up to quadrature error, integrating to one on the sphere.
+    """
+    sample = np.asarray(sample, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != sample.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: points in R^{pts.shape[1]}, sample in R^{sample.shape[1]}"
+        )
+    q = sample.shape[1] - 1
+    const = normalizing_constant(kernel, q, h)
+    vals = const * kernel((1.0 - pts @ sample.T) / h**2).mean(axis=1)
+    if np.ndim(points) == 1:
+        return float(vals[0])
+    return vals

@@ -144,6 +144,38 @@ def test_trace_row_count_and_determinism(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("q, p", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_trace_survives_empty_and_rank_deficient_nodes(tmp_path, q, p):
+    """At h = 0.04 the S4 design leaves nodes with no kernel mass (211 at
+    q=2, 22 at q=1) and, at degree 1, nodes that fall back to local constant;
+    the trace runs through, and its h = 0.5 rows match a run of that h alone,
+    as data, multipliers and null refits are drawn before the h loop."""
+    base = ["--command", "trace", "--scenario", "S4", "--q", str(q), "--p", str(p),
+            "--n", "250", "--B", "50", "--M", "2", "--seed", "1"]
+    both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+    assert run_main(*base, "--h-grid", "0.04,0.5", "--out", str(both)) == 0
+    assert run_main(*base, "--h-grid", "0.5", "--out", str(alone)) == 0
+    rows = both.read_text().splitlines()
+    assert len(rows) == 1 + 2 * 3
+    assert [rows[0]] + [row for row in rows if row.split(",")[3] == "0.5"] == (
+        alone.read_text().splitlines()
+    )
+
+
+def test_test_with_no_node_near_the_data_is_a_numeric_failure(tmp_path, capsys):
+    """Data near the angle pi/8 sit at least 0.34 from every node of the
+    8-node circle rule: at h = 0.008 no node has kernel mass."""
+    angles = np.pi / 8 + np.linspace(-0.03, 0.03, 10)
+    data = tmp_path / "cluster.csv"
+    data.write_text("x1,x2,y\n" + "".join(
+        f"{float(np.cos(a))!r},{float(np.sin(a))!r},{i % 3}\n" for i, a in enumerate(angles)
+    ))
+    rc = run_main("--command", "test", "--data", str(data), "--family", "constant",
+                  "--h", "0.008", "--quad-res", "8", "--B", "10", "--out", str(tmp_path / "o.json"))
+    assert rc == 3
+    assert "all 8 nodes have all-zero kernel weights" in capsys.readouterr().err
+
+
 def test_power_command_runs(tmp_path):
     out = tmp_path / "power.csv"
     rc = run_main(

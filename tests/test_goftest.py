@@ -2,6 +2,7 @@ import tracemalloc
 from math import pi, sqrt
 
 import numpy as np
+import oracles
 import pytest
 
 from dirgof import goftest, locreg, parfit
@@ -151,17 +152,49 @@ def test_blocked_node_cache_matches_one_shot_build(degree, with_gaps, weight_fn,
 
 @pytest.mark.parametrize("degree", [0, 1])
 def test_node_cache_counts_empty_nodes_of_every_block(degree, rng):
-    """Nodes with no kernel mass abort the build, and the error counts them
-    over the whole quadrature, not only in the first block that has one."""
+    """Nodes with no kernel mass get zero rows and a zero node factor, so they
+    add nothing to the statistic; the test counts them over the whole
+    quadrature, not only in the first block that has one, and flags none."""
     predictors = sample_uniform(2, 30, rng) + [0.0, 0.0, 3.0]  # a cap at the north pole
     predictors /= np.linalg.norm(predictors, axis=1, keepdims=True)
-    cfg = make_cfg(q=2, degree=degree, h=0.03)
+    responses = 1.0 + 0.5 * rng.standard_normal(30)
+    cfg = make_cfg(q=2, degree=degree, h=0.03, bootstrap=20)
     raw = locreg.kernel_weight_matrix(cfg.quadrature.nodes, predictors, cfg.fit)
     empty = raw.sum(axis=1) == 0
-    per_block = [empty[block].sum() for block in locreg.node_blocks(len(empty))]
-    assert sum(count > 0 for count in per_block) > 1
-    with pytest.raises(locreg.SingularGramError, match=f"^{empty.sum()} nodes "):
+    assert empty.sum() == 1209
+    assert sum(empty[block].any() for block in locreg.node_blocks(len(empty))) > 1
+    cache = goftest.node_cache(predictors, cfg)
+    assert not cache.rows[empty].any() and not cache.node_factor[empty].any()
+    assert cache.empty_count == 1209 and not cache.regularized[empty].any()
+    result = goftest.bootstrap_test(predictors, responses, parfit.constant_family(), cfg)
+    assert result.to_dict()["flags"]["empty_nodes"] == 1209
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_node_cache_raises_when_every_node_is_empty(degree, rng):
+    """Data near the angle pi/8 sit at least 0.34 from every node of the
+    8-node circle rule, so at h = 0.008 no node has kernel mass."""
+    angles = pi / 8 + rng.uniform(-0.03, 0.03, 10)
+    predictors = np.column_stack([np.cos(angles), np.sin(angles)])
+    cfg = goftest.GofConfig(
+        fit=LocalFitConfig(degree=degree, bandwidth=0.008),
+        quadrature=goftest.default_quadrature(1, 8),
+    )
+    with pytest.raises(locreg.SingularGramError, match="^all 8 nodes "):
         goftest.node_cache(predictors, cfg)
+
+
+def test_node_factor_is_the_kernel_density_estimate(rng):
+    """One density formula: the cache's factor over the quadrature weights
+    is the kernel density estimate at the nodes."""
+    predictors, _ = sample_constant_model(rng, n=200, q=2)
+    cfg = make_cfg(q=2, h=0.5)
+    cache = goftest.node_cache(predictors, cfg)
+    np.testing.assert_allclose(
+        cache.node_factor / cfg.quadrature.weights,
+        oracles.kde(cfg.quadrature.nodes, predictors, 0.5, VON_MISES),
+        rtol=1e-13, atol=0,
+    )
 
 
 def test_test_call_peak_memory_near_one_rows_array():

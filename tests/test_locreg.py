@@ -3,6 +3,8 @@ from math import pi, sqrt
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirgof import goftest, locreg, simsuite
 from dirgof.density import density_sample, uniform_model
@@ -262,15 +264,21 @@ def test_singular_cases(rng):
 
 
 @pytest.mark.parametrize("degree", [0, 1])
-def test_weight_rows_count_empty_nodes_of_every_block(degree, rng):
+def test_weight_rows_zero_at_empty_nodes_of_every_block(degree, rng):
     """30 points in a cap at the north pole leave 1209 of the 2304 nodes
     without kernel mass at h = 0.03, over several node blocks; both degrees
-    count them all, not those of the first block that has one."""
+    give them zero rows and no flag, and every other row sums to 1 (to
+    cond * eps at unflagged degree-1 nodes near the rank test's threshold)."""
     predictors = sample_uniform(2, 30, rng) + [0.0, 0.0, 3.0]
     predictors /= np.linalg.norm(predictors, axis=1, keepdims=True)
     nodes = goftest.default_quadrature(2).nodes
-    with pytest.raises(locreg.SingularGramError, match="^1209 nodes "):
-        locreg.weight_rows(nodes, predictors, locreg.LocalFitConfig(degree, 0.03))
+    cfg = locreg.LocalFitConfig(degree, 0.03)
+    empty = ~locreg.kernel_weight_matrix(nodes, predictors, cfg).any(axis=1)
+    assert empty.sum() == 1209
+    assert sum(empty[block].any() for block in locreg.node_blocks(len(nodes))) > 1
+    rows, flags = locreg.weight_rows(nodes, predictors, cfg)
+    assert not np.any(rows[empty]) and not flags[empty].any()
+    assert np.max(np.abs(rows[~empty].sum(axis=1) - 1.0)) < 1e-5
 
 
 def test_ridge_fallback_flags_degenerate_design(rng):
@@ -293,7 +301,8 @@ def test_config_validation():
 
 
 def reference_rows(nodes, predictors, cfg):
-    """Per-node weighted least squares with the rank test and ridge fallback."""
+    """Per-node weighted least squares with the rank test; a flagged node
+    takes the local-constant row."""
     rows, flags = [], []
     for x in nodes:
         w = locreg.kernel_weights(x, predictors, cfg)
@@ -307,12 +316,7 @@ def reference_rows(nodes, predictors, cfg):
         a = design * np.sqrt(w)[:, None]
         diag = np.abs(np.diag(np.linalg.qr(a)[1]))
         flagged = not diag.min() > 1e-10 * diag.max() > 0
-        if flagged:
-            gram = a.T @ a
-            gram += locreg.RIDGE_FACTOR * np.trace(gram) / len(gram) * np.eye(len(gram))
-            rows.append(np.linalg.solve(gram, design.T * w)[0])
-        else:
-            rows.append(np.linalg.pinv(a)[0] * np.sqrt(w))
+        rows.append(w / w.sum() if flagged else np.linalg.pinv(a)[0] * np.sqrt(w))
         flags.append(flagged)
     return np.array(rows), np.array(flags)
 
@@ -325,8 +329,8 @@ def test_weight_rows_match_per_node_least_squares(q, degree, rng):
     Data sit in a cap around the north pole plus four copies of the south
     pole.  Nodes in the cap have full-rank local designs; the kernel weights
     of nodes near the south pole vanish on the cap, so their designs see only
-    the copies, have rank one and take the ridge fallback.  Both kinds are
-    shuffled through every block.
+    the copies, have rank one and fall back to local constant.  Both kinds
+    are shuffled through every block.
     """
     def around(pole, spread, count):
         points = pole + spread * rng.standard_normal((count, q + 1))
@@ -359,12 +363,13 @@ def test_kernel_matrix_from_cached_gaps_is_bit_identical(rng):
         assert np.array_equal(cached, locreg.kernel_weight_matrix(nodes, predictors, cfg))
 
 
-def test_ridge_rows_finite_where_kernel_weights_sit_at_the_floor():
+def test_fallback_rows_sum_to_one_where_kernel_weights_sit_at_the_floor():
     """S4 nodes whose kernel weights are all near WEIGHT_FLOOR.
 
-    The Gram matrix of their root-weighted design underflows unless the
-    ridge solve rescales the weights; an exact power-of-two rescale of the
-    kernel matrix must leave the flagged rows bit for bit as they are.
+    Their moments and root-weighted designs underflow unless the weights
+    are rescaled; an exact power-of-two rescale of the kernel matrix must
+    leave the flagged rows bit for bit as they are.  A flagged row is the
+    local-constant row, so it sums to 1 and reproduces constants.
     """
     predictors, _ = simsuite.generate(
         simsuite.make_scenario("S4", 2), 250, np.random.default_rng(123)
@@ -377,6 +382,7 @@ def test_ridge_rows_finite_where_kernel_weights_sit_at_the_floor():
     rows, flags = locreg.weight_rows(nodes, predictors, cfg, raw=raw)
     assert (len(nodes), flags.sum()) == (2216, 1067)
     assert np.all(np.isfinite(rows))
+    assert np.max(np.abs(rows[flags].sum(axis=1) - 1.0)) < 1e-12
     scaled, scaled_flags = locreg.weight_rows(nodes, predictors, cfg, raw=raw * 2.0**600)
     assert np.array_equal(scaled_flags, flags)
     assert np.array_equal(scaled[flags], rows[flags])
@@ -462,4 +468,60 @@ def test_nodes_passing_the_moment_gate_pass_the_rank_test():
         assert np.all(ratio[gate] >= floor * (1.0 - 1e-8))
         passed += gate.sum()
     assert passed > 0
+
+
+# small rules: 256 nodes at q=1, 12 x 12 at q=2, 400 Monte Carlo nodes at q=3
+PROPERTY_RULES = {1: None, 2: 12, 3: 400}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    q=st.integers(1, 3),
+    degree=st.integers(0, 1),
+    h=st.floats(0.02, 1.5),
+    log_spread=st.floats(-3.0, 0.5),
+    extra=st.integers(0, 6),
+    copies=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_rows_on_degenerate_designs(q, degree, h, log_spread, extra, copies, seed):
+    """weight_rows and node_cache on data in a cap of random spread, with
+    repeated points, down to n = q+2: every row is finite, an empty node's
+    row is zero, and every other row sums to 1, within 1e-12 for degree 0
+    and local-constant fallbacks and within 1e3 eps cond for unflagged
+    degree-1 rows.  The R-diagonal rank test lets designs of condition
+    number up to about 1e12 through, so those rows can be 1e-4 off."""
+    rng = np.random.default_rng(seed)
+    n = q + 2 + extra
+    predictors = np.eye(q + 1)[-1] + 10.0**log_spread * rng.standard_normal((n, q + 1))
+    predictors /= np.linalg.norm(predictors, axis=1, keepdims=True)
+    predictors[n - copies:] = predictors[0]
+    quadrature = goftest.default_quadrature(q, PROPERTY_RULES[q])
+    gaps = 1.0 - quadrature.nodes @ predictors.T
+    cfg = locreg.LocalFitConfig(degree, h)
+    raw = locreg.kernel_weight_matrix(quadrature.nodes, predictors, cfg, gaps=gaps)
+    rows, flags = locreg.weight_rows(quadrature.nodes, predictors, cfg, raw=raw)
+    empty = ~raw.any(axis=1)
+    sums = rows.sum(axis=1)
+    assert np.all(np.isfinite(rows))
+    assert not np.any(rows[empty]) and not flags[empty].any()
+    exact = ~empty & (flags | (degree == 0))
+    assert np.all(np.abs(sums[exact] - 1.0) < 1e-12)
+    loose = ~empty & ~exact
+    if loose.any():
+        nodes = quadrature.nodes[loose]
+        tangent = (predictors[None] - nodes[:, None]) @ tangent_bases(nodes)
+        design = np.concatenate([np.ones(tangent.shape[:2] + (1,)), tangent], axis=2)
+        peak = raw[loose] / raw[loose].max(axis=1, keepdims=True)
+        sv = np.linalg.svd(design * np.sqrt(peak)[:, :, None], compute_uv=False)
+        cond = sv[:, 0] / sv[:, -1]
+        assert np.all(np.abs(sums[loose] - 1.0) <= 1e3 * np.finfo(float).eps * cond)
+    gof = goftest.GofConfig(fit=cfg, quadrature=quadrature)
+    if empty.all():
+        with pytest.raises(locreg.SingularGramError):
+            goftest.node_cache(predictors, gof, gaps)
+        return
+    cache = goftest.node_cache(predictors, gof, gaps)
+    assert np.array_equal(cache.rows, rows) and np.array_equal(cache.regularized, flags)
+    assert cache.empty_count == empty.sum() and not np.any(cache.node_factor[empty])
 
