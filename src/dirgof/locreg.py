@@ -7,12 +7,14 @@ responses; those effective weights are the central object here because the
 goodness-of-fit statistic reuses them across quadrature nodes and bootstrap
 replicates.
 
-Degree-1 solves run over blocks of nodes, through kernel-weighted moments
-(normal equations only where the gate proves them safe) or else an orthogonal
-factorization of the square-root-weighted design.  A node with no kernel
-mass gets a zero row, and a degree-1 node whose design fails the rank test
-falls back to the local-constant row and is flagged ``regularized``, so
-degenerate nodes abort neither bootstrap loops nor bandwidth grids.
+Degree-1 solves run over blocks of nodes.  Where a gate proves the normal
+equations safe, three kernel-weighted moments give one (q+1)×(q+1) system
+A = PΣP + xxᵀ in ambient coordinates (P = I - xxᵀ, Σ the local covariance),
+with no tangent basis; elsewhere an orthogonal factorization of the
+square-root-weighted tangent design.  A node with no kernel mass gets a zero
+row, and a degree-1 node whose design fails the rank test falls back to the
+local-constant row and is flagged ``regularized``, so degenerate nodes abort
+neither bootstrap loops nor bandwidth grids.
 """
 
 from __future__ import annotations
@@ -26,8 +28,12 @@ from .sphere import tangent_bases
 
 WEIGHT_FLOOR = 1e-300
 _RANK_TOL = 1e-10
-# a node takes the moment form when eps (1 + |t̄|^2) / λ_min(C) is at most this
+# a node takes the moment form when eps (1 + |Px̄|^2) / λ_min(A) <= this, for
+# A = PΣP + xxᵀ: λ(A) = λ(C) ∪ {1} and eps (1 + |Px̄|^2) / this <= 5e-5 < 1
 MOMENT_GATE = 1e-11
+# degree-1 rows of a smaller peak are rescaled by an exact power of 4 to peak
+# ~1, which changes no row, so that their moments and QR factors stay normal
+RESCALE_BELOW = np.sqrt(np.finfo(float).tiny)
 # nodes per stacked degree-1 factorization; bounds its memory at large m
 NODE_BLOCK = 512
 
@@ -90,77 +96,90 @@ def _check_size(n: int, q: int, cfg: LocalFitConfig) -> None:
         raise ValueError("need at least one observation")
 
 
-def _coefficient_weights(
-    nodes, predictors, raw, degree: int, gradient: bool = True, out=None
-):
+def _coefficient_weights(nodes, predictors, raw, degree: int, products, out=None):
     """Coefficient weights of the local fits at a stack of nodes.
 
     Returns (m, p, n) weights, so that ``weights[j] @ y`` is the coefficient
     vector at node j (fitted value first, then the projected gradient unless
-    ``gradient`` is false), and the (m,) mask of nodes with kernel mass that
-    fell back to local constant.  Degree 1 takes the moments where their gate
-    passes and the stacked QR at every other node; a node that fails its rank
-    test gets the row k / sum(k) and a zero gradient.  A node with no kernel
-    mass gets zero weights.  Degree 0 may write its (m, n) rows into ``out``.
+    the (m, n) fitted-value rows go into ``out``), and the (m,) mask of nodes
+    with kernel mass that fell back to local constant.  Degree 1 takes the
+    moments where their gate passes and the stacked QR at every other node; a
+    node that fails its rank test gets the row k / sum(k) and a zero gradient.
+    A node with no kernel mass gets zero weights.  ``products`` are the
+    ``_moment_products`` of the predictors.
     """
-    if degree == 1:
-        # exact power-of-4 rescale to peak ~1: no row changes, but the moments
-        # and Gram matrices of nodes near WEIGHT_FLOOR cannot reach subnormals
-        raw = np.ldexp(raw, -2 * (np.frexp(raw.max(axis=1))[1] // 2)[:, None])
-    sums = raw.sum(axis=1)
-    empty = sums == 0
-    sums[empty] = 1.0  # an empty node's zero row, without 0/0
     if degree == 0:
+        sums = raw.sum(axis=1)
+        sums[sums == 0] = 1.0  # an empty node's zero row, without 0/0
         rows = np.divide(raw, sums[:, None], out=out)
         return rows[:, None, :], np.zeros(len(nodes), dtype=bool)
-    coef, fast = _moment_coefficients(nodes, predictors, raw, sums, gradient)
+    peak = raw.max(axis=1)
+    low = peak < RESCALE_BELOW
+    if np.any(low & (peak > 0)):
+        raw = np.ldexp(raw, -2 * (np.frexp(np.where(low, peak, 1.0))[1] // 2)[:, None])
+    coef = np.empty((len(nodes),) + predictors.shape[::-1]) if out is None else out[:, None, :]
+    coef, fast = _moment_coefficients(nodes, raw, products, coef)
+    slow = ~fast & (peak > 0)
     flags = np.zeros(len(nodes), dtype=bool)
-    if not fast.all():
-        slow = ~fast
+    if slow.any():
         qr_coef, flags[slow] = _qr_coefficients(nodes[slow], predictors, raw[slow])
         coef[slow] = qr_coef[:, : coef.shape[1]]
         coef[flags] = 0.0
-        coef[flags, 0] = raw[flags] / sums[flags, None]
-    return coef, flags & ~empty
+        coef[flags, 0] = raw[flags] / raw[flags].sum(axis=1, keepdims=True)
+    return coef, flags
 
 
-def _moment_coefficients(nodes, predictors, raw, sums, gradient: bool):
-    """Degree-1 coefficient weights from three kernel-weighted moments, filled
-    only at the nodes of the returned mask, where the gate passes; ``sums``
-    are the kernel masses, 1 at an empty node (its zero moments fail the gate).
+def _moment_products(x):
+    """Rows [1, Xᵀ, (X ⊗ X)ᵀ], whose kernel-weighted sums are S0, M1 and M2."""
+    return np.vstack([np.ones(len(x)), x.T, np.einsum("ni,nj->ijn", x, x).reshape(-1, len(x))])
 
-    With t_i = B^T X_i (B^T x = 0) of weighted mean t̄ and covariance C, the
-    fitted-value row is k_i (α - v^T X_i) / S0, α = 1 + t̄^T C^-1 t̄ and
-    v = B C^-1 t̄, and the gradient rows are k_i C^-1 (t_i - t̄) / S0.
+
+def _moment_coefficients(nodes, raw, products, coef):
+    """Degree-1 coefficient weights from three kernel-weighted moments, written
+    into ``coef`` (m, p, n) and returned with the mask of nodes where the gate
+    passes; the weights of other nodes are zero.
+
+    With x̄ = M1/S0, Σ = M2/S0 - x̄x̄ᵀ, P = I - xxᵀ and A = PΣP + xxᵀ, so that
+    A⁻¹ = B C⁻¹ Bᵀ + xxᵀ for a tangent basis B and C = BᵀΣB, the fitted-value
+    row is k_i (1 - (X_i - x̄)ᵀv) / S0 with v = A⁻¹Px̄, and the gradient rows
+    are k_i BᵀA⁻¹(X_i - x̄) / S0 in the coordinates of ``tangent_bases``.
     """
-    d = predictors.shape[1]
-    bases = tangent_bases(nodes)
-    trans = np.swapaxes(bases, 1, 2)
-    outer = (predictors[:, :, None] * predictors[:, None, :]).reshape(-1, d * d)
-    second = (raw @ outer).reshape(-1, d, d)
-    tbar = ((raw @ predictors)[:, None, :] @ bases)[:, 0] / sums[:, None]
-    cov = trans @ second @ bases / sums[:, None, None] - tbar[:, :, None] * tbar[:, None, :]
-    lam = np.linalg.eigvalsh(cov)[:, 0]
-    # C = E[t t^T] - t̄ t̄^T cancels where the local cloud is narrow next to
-    # its offset; the gate, false for λ_min <= 0 and NaN, keeps those nodes
-    # out.  A node it lets in passes the rank test of _qr_coefficients: as
-    # |t_i| <= 1 the Gram matrix G has λ_max(G/S0) <= 2 and λ_min(G/S0) >=
-    # λ_min(C) / (2 (1 + |t̄|^2)), and R diagonals lie between the extreme
-    # singular values, so their ratio is >= sqrt(eps / (4 MOMENT_GATE)) ~ 2.4e-3
-    fast = lam * MOMENT_GATE >= np.finfo(float).eps * (1.0 + (tbar**2).sum(axis=1))
-    coef = np.empty((len(nodes), d if gradient else 1, raw.shape[1]))
-    tbar, bases, trans = tbar[fast], bases[fast], trans[fast]
-    rhs = tbar[:, :, None]
-    if gradient:
-        rhs = np.concatenate([rhs, trans], axis=2)
-    solved = np.linalg.solve(cov[fast], rhs)
-    ct = solved[:, :, 0]
-    alpha = 1.0 + (tbar * ct).sum(axis=1)
-    v = (bases @ ct[:, :, None])[:, :, 0]
-    scaled = raw[fast] / sums[fast, None]
-    coef[fast, 0] = scaled * (alpha[:, None] - v @ predictors.T)
-    if gradient:
-        coef[fast, 1:] = scaled[:, None, :] * (solved[:, :, 1:] @ predictors.T - ct[:, :, None])
+    m, d = nodes.shape
+    moments = raw @ products.T
+    sums = moments[:, :1, None]
+    sums[sums == 0] = 1.0  # an empty node's zero moments fail the gate, without 0/0
+    xbar = moments[:, 1 : d + 1, None] / sums
+    along = nodes[:, :, None] * nodes[:, None, :]
+    proj = np.eye(d) - along
+    pxbar = proj @ xbar
+    # PΣP = P (M2/S0) P - Px̄(Px̄)ᵀ: the mean comes off after the projection
+    second = moments[:, d + 1 :].reshape(m, d, d) / sums
+    ambient = proj @ second @ proj - pxbar * np.swapaxes(pxbar, 1, 2) + along
+    # λ_min(A) > τ = eps (1 + |Px̄|^2) / MOMENT_GATE iff every pivot of the
+    # LDLᵀ elimination of A - τI is positive: a few stacked passes, a quarter
+    # of a stacked eigvalsh, and no LAPACK call sees a node the gate rejects.
+    # Σ cancels where the local cloud is narrow next to its offset; the gate,
+    # false for λ_min <= 0, keeps those nodes out.  A node it lets in has an
+    # R-diagonal ratio >= sqrt(λ_min(C) / (4 (1 + |Px̄|^2))) >= 2.4e-3 in
+    # _qr_coefficients, so the rank test cannot flag it: flags stay the QR's
+    tau = np.finfo(float).eps / MOMENT_GATE * (1.0 + (pxbar**2).sum(axis=(1, 2)))
+    shifted = ambient - tau[:, None, None] * np.eye(d)
+    fast = np.ones(m, dtype=bool)
+    for j in range(d):
+        fast &= shifted[:, j, j] > 0
+        column = shifted[:, j + 1 :, j, None] / np.where(fast, shifted[:, j, j], 1.0)[:, None, None]
+        shifted[:, j + 1 :, j + 1 :] -= column * shifted[:, None, j, j + 1 :]
+    rhs = -pxbar[fast]
+    if coef.shape[1] > 1:
+        rhs = np.concatenate([rhs, tangent_bases(nodes[fast])], axis=2)
+    lin = np.swapaxes(np.linalg.solve(ambient[fast], rhs), 1, 2)  # rows -vᵀ, then BᵀA⁻¹
+    weights = np.zeros(coef.shape[:2] + (d + 1,))  # coefficients of [1, X_i] per row
+    weights[fast, :, 0] = (np.arange(lin.shape[1]) == 0) - (lin @ xbar[fast])[:, :, 0]
+    weights[fast, :, 1:] = lin
+    weights /= sums
+    for j in range(coef.shape[1]):
+        np.matmul(weights[:, j], products[: d + 1], out=coef[:, j])
+        coef[:, j] *= raw
     return coef, fast
 
 
@@ -192,7 +211,7 @@ def _fit_at(x, predictors, cfg: LocalFitConfig):
     raw = kernel_weight_matrix(x, predictors, cfg)
     if not raw.any():
         raise SingularGramError("all kernel weights vanish at this point")
-    coef, flags = _coefficient_weights(x, predictors, raw, cfg.degree)
+    coef, flags = _coefficient_weights(x, predictors, raw, cfg.degree, _moment_products(predictors))
     return coef[0], bool(flags[0])
 
 
@@ -207,10 +226,10 @@ def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None, out=None):
 
     Returns an (m, n) matrix of rows, zero at a node with no kernel mass and
     summing to 1 at any other, and an (m,) mask of nodes that fell back to
-    local constant.  Degree 0 is one vectorized division; degree 1 runs in
-    blocks of ``NODE_BLOCK`` nodes, which bounds the memory of the stacked
-    factorizations.  ``raw`` may carry a precomputed kernel matrix to share
-    with a density estimate, and ``out`` the (m, n) array to fill.
+    local constant.  Both degrees run in blocks of ``NODE_BLOCK`` nodes, which
+    bounds the memory of the stacked degree-1 factorizations.  ``raw`` may
+    carry a precomputed kernel matrix to share with a density estimate, and
+    ``out`` the (m, n) array to fill.
     """
     nodes = np.asarray(nodes, dtype=float)
     predictors = np.asarray(predictors, dtype=float)
@@ -218,14 +237,12 @@ def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None, out=None):
     if raw is None:
         raw = kernel_weight_matrix(nodes, predictors, cfg)
     rows = np.empty_like(raw) if out is None else out
-    if cfg.degree == 0:
-        return rows, _coefficient_weights(nodes, predictors, raw, 0, out=rows)[1]
+    products = _moment_products(predictors) if cfg.degree else None
     flags = np.empty(len(nodes), dtype=bool)
     for block in node_blocks(len(nodes)):
-        coef, flags[block] = _coefficient_weights(
-            nodes[block], predictors, raw[block], 1, gradient=False
-        )
-        rows[block] = coef[:, 0]
+        flags[block] = _coefficient_weights(
+            nodes[block], predictors, raw[block], cfg.degree, products, rows[block]
+        )[1]
     return rows, flags
 
 

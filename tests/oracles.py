@@ -3,9 +3,10 @@
 Closed-form local linear fits on the circle and the 2-sphere, against which
 the tests compare the generic projected fit of ``dirgof.locreg``; the
 stacked-QR local linear rows at every node, against which they compare the
-moment rows the gate lets through; the one-response Levenberg-Marquardt
-solver, against which they compare the lock-step solver of ``dirgof.parfit``
-row by row; the QR least squares fit finished by scipy's triangular
+moment rows the gate lets through; the moment rows in tangent coordinates,
+against which they compare the ambient form; the one-response
+Levenberg-Marquardt solver, against which they compare the lock-step solver
+of ``dirgof.parfit`` row by row; the QR least squares fit finished by scipy's triangular
 solve, against which they compare the closed-form linear fits; and the
 paper's closed forms that only check simulations: smoothing known model
 values, the equivalent-kernel estimate, the leading bias and variance, the
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from dirgof.kernels import VON_MISES, DirectionalKernel, kernel_constants, normalizing_constant
-from dirgof.locreg import LocalFitConfig, kernel_weights
+from dirgof.locreg import MOMENT_GATE, LocalFitConfig, kernel_weights
 from dirgof.parfit import ThetaEstimate, predict_batch
 from dirgof.sphere import projection_basis, tangent_bases
 
@@ -91,6 +92,36 @@ def stacked_qr_weight_rows(nodes, predictors, raw):
     rows = (np.linalg.inv(r_mat) @ np.swapaxes(q_mat, 1, 2))[:, 0] * sw
     rows[flags] = raw[flags] / raw[flags].sum(axis=1, keepdims=True)
     return rows, flags
+
+
+def tangent_moment_rows(nodes, predictors, raw):
+    """Local linear fitted-value rows (m, n) from three kernel-weighted moments
+    in the tangent coordinates t_i = BᵀX_i of ``tangent_bases``, zero where the
+    moment gate fails; the (m,) gate mask; and the gate quantity
+    eps (1 + |t̄|^2) / λ_min(C) of the tangent covariance C, inf where
+    λ_min(C) <= 0.  The fitted-value row is k_i (α - vᵀX_i) / S0 with
+    α = 1 + t̄ᵀC⁻¹t̄ and v = B C⁻¹ t̄: one q×q eigvalsh and solve per node."""
+    d = predictors.shape[1]
+    sums = raw.sum(axis=1)
+    sums[sums == 0] = 1.0
+    bases = tangent_bases(nodes)
+    trans = np.swapaxes(bases, 1, 2)
+    outer = (predictors[:, :, None] * predictors[:, None, :]).reshape(-1, d * d)
+    second = (raw @ outer).reshape(-1, d, d)
+    tbar = ((raw @ predictors)[:, None, :] @ bases)[:, 0] / sums[:, None]
+    cov = trans @ second @ bases / sums[:, None, None] - tbar[:, :, None] * tbar[:, None, :]
+    lam = np.linalg.eigvalsh(cov)[:, 0]
+    offset = np.finfo(float).eps * (1.0 + (tbar**2).sum(axis=1))
+    fast = lam * MOMENT_GATE >= offset
+    gate = np.full(len(nodes), np.inf)
+    gate[lam > 0] = offset[lam > 0] / lam[lam > 0]
+    tbar, bases = tbar[fast], bases[fast]
+    ct = np.linalg.solve(cov[fast], tbar[:, :, None])[:, :, 0]
+    alpha = 1.0 + (tbar * ct).sum(axis=1)
+    v = (bases @ ct[:, :, None])[:, :, 0]
+    rows = np.zeros_like(raw)
+    rows[fast] = raw[fast] / sums[fast, None] * (alpha[:, None] - v @ predictors.T)
+    return rows, fast, gate
 
 
 def levenberg_marquardt(family, points, responses, theta0, max_iter=200, gtol=1e-8):

@@ -391,6 +391,42 @@ def test_fallback_rows_sum_to_one_where_kernel_weights_sit_at_the_floor():
     scale = np.abs(ref_rows).max(axis=1, keepdims=True)
     assert np.max(np.abs(rows[~flags] - ref_rows) / scale) < 1e-10
 
+    # q=3: S2 rows scaled to peaks near 1e-290, so every weight lies between
+    # about 1e-300 and 1e-290, below the rescale threshold
+    predictors, _ = simsuite.generate(
+        simsuite.make_scenario("S2", 3), 250, np.random.default_rng(0)
+    )
+    cfg = locreg.LocalFitConfig(degree=1, bandwidth=0.3)
+    nodes = goftest.default_quadrature(3).nodes[:1100]
+    raw = locreg.kernel_weight_matrix(nodes, predictors, cfg)
+    tiny = raw * (1e-290 / raw.max(axis=1))[:, None]
+    assert tiny.min() > locreg.WEIGHT_FLOOR and tiny.max() < locreg.RESCALE_BELOW
+    rows, flags = locreg.weight_rows(nodes, predictors, cfg, raw=tiny)
+    ref_rows, ref_flags = locreg.weight_rows(nodes, predictors, cfg, raw=raw)
+    assert np.all(np.isfinite(rows)) and np.array_equal(flags, ref_flags)
+    assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-12
+    scale = np.abs(ref_rows).max(axis=1, keepdims=True)
+    assert np.max(np.abs(rows - ref_rows) / scale) < 1e-12
+
+
+def test_rows_above_the_rescale_threshold_skip_it_bit_for_bit():
+    """Scaling a row by a power of 4 changes none of its weight-row bits, so a
+    block whose row peaks all lie above ``RESCALE_BELOW`` gives the same rows
+    from ``raw`` and from ``raw * 4**-8`` without any rescale.  At h = 0.1 a
+    third of the nodes fail the moment gate and take the stacked QR."""
+    predictors, _ = simsuite.generate(
+        simsuite.make_scenario("S2", 3), 250, np.random.default_rng(0)
+    )
+    nodes = goftest.default_quadrature(3).nodes[: locreg.NODE_BLOCK]
+    for h in (0.1, 0.5):
+        cfg = locreg.LocalFitConfig(degree=1, bandwidth=h)
+        raw = locreg.kernel_weight_matrix(nodes, predictors, cfg)
+        small = raw * 4.0**-8
+        assert small.max(axis=1).min() > locreg.RESCALE_BELOW
+        rows, flags = locreg.weight_rows(nodes, predictors, cfg, raw=raw)
+        scaled, scaled_flags = locreg.weight_rows(nodes, predictors, cfg, raw=small)
+        assert np.array_equal(scaled, rows) and np.array_equal(scaled_flags, flags)
+
 
 # (scenario, q, h): the moment gate passes from about 1 % to all of their nodes
 GATE_CASES = [
@@ -440,6 +476,31 @@ def test_moment_rows_match_qr_rows_across_the_gate(monkeypatch, rng):
         shares.append(np.concatenate(masks[start:]).mean())
     assert min(shares) < 0.05 and max(shares) == 1.0
     assert any(fast.any() and not fast.all() for fast in masks)
+
+
+def test_ambient_moment_rows_match_the_tangent_form():
+    """The ambient (q+1)×(q+1) moment rows against the tangent-basis form of
+    ``oracles.tangent_moment_rows`` on every GATE_CASES entry.  Gate masks are
+    identical except at nodes whose gate quantity eps (1 + |t̄|^2) / λ_min(C)
+    lies within 1e-6 relative of MOMENT_GATE.  Rows agree within 1e-12
+    relative plus four times that quantity: it bounds how much each form
+    amplifies the rounding of its moments, so near the gate both are about
+    1e-11 off the stacked QR and off each other."""
+    for scenario, q, h in GATE_CASES:
+        nodes, predictors, cfg, raw = gate_case(scenario, q, h)
+        ref_rows, ref_fast, gate = oracles.tangent_moment_rows(nodes, predictors, raw)
+        products = locreg._moment_products(predictors)
+        coef, fast = locreg._moment_coefficients(
+            nodes, raw, products, np.empty((len(nodes), 1, len(predictors)))
+        )
+        near = np.abs(gate / locreg.MOMENT_GATE - 1.0) < 1e-6
+        assert np.array_equal(fast | near, ref_fast | near)
+        both = fast & ref_fast
+        assert both.any()
+        scale = np.abs(ref_rows[both]).max(axis=1)
+        error = np.abs(coef[both, 0] - ref_rows[both]).max(axis=1) / scale
+        assert np.all(error <= 1e-12 + 4.0 * gate[both])
+        assert not np.any(coef[~fast])
 
 
 def test_nodes_passing_the_moment_gate_pass_the_rank_test():
