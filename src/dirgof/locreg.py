@@ -31,9 +31,6 @@ _RANK_TOL = 1e-10
 # a node takes the moment form when eps (1 + |Px̄|^2) / λ_min(A) <= this, for
 # A = PΣP + xxᵀ: λ(A) = λ(C) ∪ {1} and eps (1 + |Px̄|^2) / this <= 5e-5 < 1
 MOMENT_GATE = 1e-11
-# degree-1 rows of a smaller peak are rescaled by an exact power of 4 to peak
-# ~1, which changes no row, so that their moments and QR factors stay normal
-RESCALE_BELOW = np.sqrt(np.finfo(float).tiny)
 # nodes per stacked degree-1 factorization; bounds its memory at large m
 NODE_BLOCK = 512
 
@@ -96,7 +93,7 @@ def _check_size(n: int, q: int, cfg: LocalFitConfig) -> None:
         raise ValueError("need at least one observation")
 
 
-def _coefficient_weights(nodes, predictors, raw, degree: int, products, out=None):
+def _coefficient_weights(nodes, predictors, raw, degree: int, out=None):
     """Coefficient weights of the local fits at a stack of nodes.
 
     Returns (m, p, n) weights, so that ``weights[j] @ y`` is the coefficient
@@ -105,21 +102,16 @@ def _coefficient_weights(nodes, predictors, raw, degree: int, products, out=None
     with kernel mass that fell back to local constant.  Degree 1 takes the
     moments where their gate passes and the stacked QR at every other node; a
     node that fails its rank test gets the row k / sum(k) and a zero gradient.
-    A node with no kernel mass gets zero weights.  ``products`` are the
-    ``_moment_products`` of the predictors.
+    A node with no kernel mass gets zero weights.
     """
     if degree == 0:
         sums = raw.sum(axis=1)
         sums[sums == 0] = 1.0  # an empty node's zero row, without 0/0
         rows = np.divide(raw, sums[:, None], out=out)
         return rows[:, None, :], np.zeros(len(nodes), dtype=bool)
-    peak = raw.max(axis=1)
-    low = peak < RESCALE_BELOW
-    if np.any(low & (peak > 0)):
-        raw = np.ldexp(raw, -2 * (np.frexp(np.where(low, peak, 1.0))[1] // 2)[:, None])
     coef = np.empty((len(nodes),) + predictors.shape[::-1]) if out is None else out[:, None, :]
-    coef, fast = _moment_coefficients(nodes, raw, products, coef)
-    slow = ~fast & (peak > 0)
+    coef, fast = _moment_coefficients(nodes, predictors, raw, coef)
+    slow = ~fast & raw.any(axis=1)
     flags = np.zeros(len(nodes), dtype=bool)
     if slow.any():
         qr_coef, flags[slow] = _qr_coefficients(nodes[slow], predictors, raw[slow])
@@ -129,12 +121,7 @@ def _coefficient_weights(nodes, predictors, raw, degree: int, products, out=None
     return coef, flags
 
 
-def _moment_products(x):
-    """Rows [1, Xᵀ, (X ⊗ X)ᵀ], whose kernel-weighted sums are S0, M1 and M2."""
-    return np.vstack([np.ones(len(x)), x.T, np.einsum("ni,nj->ijn", x, x).reshape(-1, len(x))])
-
-
-def _moment_coefficients(nodes, raw, products, coef):
+def _moment_coefficients(nodes, predictors, raw, coef):
     """Degree-1 coefficient weights from three kernel-weighted moments, written
     into ``coef`` (m, p, n) and returned with the mask of nodes where the gate
     passes; the weights of other nodes are zero.
@@ -145,6 +132,9 @@ def _moment_coefficients(nodes, raw, products, coef):
     are k_i BᵀA⁻¹(X_i - x̄) / S0 in the coordinates of ``tangent_bases``.
     """
     m, d = nodes.shape
+    # rows [1, Xᵀ, (X ⊗ X)ᵀ], whose kernel-weighted sums are S0, M1 and M2
+    outer = np.einsum("ni,nj->ijn", predictors, predictors).reshape(d * d, -1)
+    products = np.vstack([np.ones(len(predictors)), predictors.T, outer])
     moments = raw @ products.T
     sums = moments[:, :1, None]
     sums[sums == 0] = 1.0  # an empty node's zero moments fail the gate, without 0/0
@@ -211,7 +201,7 @@ def _fit_at(x, predictors, cfg: LocalFitConfig):
     raw = kernel_weight_matrix(x, predictors, cfg)
     if not raw.any():
         raise SingularGramError("all kernel weights vanish at this point")
-    coef, flags = _coefficient_weights(x, predictors, raw, cfg.degree, _moment_products(predictors))
+    coef, flags = _coefficient_weights(x, predictors, raw, cfg.degree)
     return coef[0], bool(flags[0])
 
 
@@ -237,11 +227,10 @@ def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None, out=None):
     if raw is None:
         raw = kernel_weight_matrix(nodes, predictors, cfg)
     rows = np.empty_like(raw) if out is None else out
-    products = _moment_products(predictors) if cfg.degree else None
     flags = np.empty(len(nodes), dtype=bool)
     for block in node_blocks(len(nodes)):
         flags[block] = _coefficient_weights(
-            nodes[block], predictors, raw[block], cfg.degree, products, rows[block]
+            nodes[block], predictors, raw[block], cfg.degree, rows[block]
         )[1]
     return rows, flags
 

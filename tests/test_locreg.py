@@ -366,8 +366,9 @@ def test_kernel_matrix_from_cached_gaps_is_bit_identical(rng):
 def test_fallback_rows_sum_to_one_where_kernel_weights_sit_at_the_floor():
     """S4 nodes whose kernel weights are all near WEIGHT_FLOOR.
 
-    Their moments and root-weighted designs underflow unless the weights
-    are rescaled; an exact power-of-two rescale of the kernel matrix must
+    No weight lies below 1e-300, so the moments, divided by the kernel mass,
+    and the root-weighted designs stay far above the subnormal range without
+    any rescale; an exact power-of-two scaling of the kernel matrix must
     leave the flagged rows bit for bit as they are.  A flagged row is the
     local-constant row, so it sums to 1 and reproduces constants.
     """
@@ -391,8 +392,8 @@ def test_fallback_rows_sum_to_one_where_kernel_weights_sit_at_the_floor():
     scale = np.abs(ref_rows).max(axis=1, keepdims=True)
     assert np.max(np.abs(rows[~flags] - ref_rows) / scale) < 1e-10
 
-    # q=3: S2 rows scaled to peaks near 1e-290, so every weight lies between
-    # about 1e-300 and 1e-290, below the rescale threshold
+    # q=3: S2 rows scaled to peaks of 1e-290, so every weight lies between
+    # about 1e-300 and 1e-290
     predictors, _ = simsuite.generate(
         simsuite.make_scenario("S2", 3), 250, np.random.default_rng(0)
     )
@@ -400,32 +401,13 @@ def test_fallback_rows_sum_to_one_where_kernel_weights_sit_at_the_floor():
     nodes = goftest.default_quadrature(3).nodes[:1100]
     raw = locreg.kernel_weight_matrix(nodes, predictors, cfg)
     tiny = raw * (1e-290 / raw.max(axis=1))[:, None]
-    assert tiny.min() > locreg.WEIGHT_FLOOR and tiny.max() < locreg.RESCALE_BELOW
+    assert tiny.min() > locreg.WEIGHT_FLOOR and tiny.max() < 1.001e-290
     rows, flags = locreg.weight_rows(nodes, predictors, cfg, raw=tiny)
     ref_rows, ref_flags = locreg.weight_rows(nodes, predictors, cfg, raw=raw)
     assert np.all(np.isfinite(rows)) and np.array_equal(flags, ref_flags)
     assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-12
     scale = np.abs(ref_rows).max(axis=1, keepdims=True)
     assert np.max(np.abs(rows - ref_rows) / scale) < 1e-12
-
-
-def test_rows_above_the_rescale_threshold_skip_it_bit_for_bit():
-    """Scaling a row by a power of 4 changes none of its weight-row bits, so a
-    block whose row peaks all lie above ``RESCALE_BELOW`` gives the same rows
-    from ``raw`` and from ``raw * 4**-8`` without any rescale.  At h = 0.1 a
-    third of the nodes fail the moment gate and take the stacked QR."""
-    predictors, _ = simsuite.generate(
-        simsuite.make_scenario("S2", 3), 250, np.random.default_rng(0)
-    )
-    nodes = goftest.default_quadrature(3).nodes[: locreg.NODE_BLOCK]
-    for h in (0.1, 0.5):
-        cfg = locreg.LocalFitConfig(degree=1, bandwidth=h)
-        raw = locreg.kernel_weight_matrix(nodes, predictors, cfg)
-        small = raw * 4.0**-8
-        assert small.max(axis=1).min() > locreg.RESCALE_BELOW
-        rows, flags = locreg.weight_rows(nodes, predictors, cfg, raw=raw)
-        scaled, scaled_flags = locreg.weight_rows(nodes, predictors, cfg, raw=small)
-        assert np.array_equal(scaled, rows) and np.array_equal(scaled_flags, flags)
 
 
 # (scenario, q, h): the moment gate passes from about 1 % to all of their nodes
@@ -489,9 +471,8 @@ def test_ambient_moment_rows_match_the_tangent_form():
     for scenario, q, h in GATE_CASES:
         nodes, predictors, cfg, raw = gate_case(scenario, q, h)
         ref_rows, ref_fast, gate = oracles.tangent_moment_rows(nodes, predictors, raw)
-        products = locreg._moment_products(predictors)
         coef, fast = locreg._moment_coefficients(
-            nodes, raw, products, np.empty((len(nodes), 1, len(predictors)))
+            nodes, predictors, raw, np.empty((len(nodes), 1, len(predictors)))
         )
         near = np.abs(gate / locreg.MOMENT_GATE - 1.0) < 1e-6
         assert np.array_equal(fast | near, ref_fast | near)
