@@ -376,20 +376,23 @@ def _scenario_from_config(cfg: dict) -> simsuite.Scenario:
 
 def cmd_trace(cfg: dict, under_null: bool) -> int:
     scenario = _scenario_from_config(cfg)
-    result = simsuite.significance_trace(
-        scenario,
-        n=cfg["n"],
-        h_grid=_float_list(cfg["h_grid"], "h-grid"),
-        trials=cfg["M"],
-        bootstrap=cfg["B"],
-        alphas=_float_list(cfg["alpha_list"], "alpha-list"),
-        seed=cfg["seed"],
-        degree=cfg["p"],
-        under_null=under_null,
-        local_alternative=cfg["local_alt"] and not under_null,
-        quad_resolution=cfg["quad_res"],
-        workers=cfg["workers"],
-    )
+    try:
+        result = simsuite.significance_trace(
+            scenario,
+            n=cfg["n"],
+            h_grid=_float_list(cfg["h_grid"], "h-grid"),
+            trials=cfg["M"],
+            bootstrap=cfg["B"],
+            alphas=_float_list(cfg["alpha_list"], "alpha-list"),
+            seed=cfg["seed"],
+            degree=cfg["p"],
+            under_null=under_null,
+            local_alternative=cfg["local_alt"] and not under_null,
+            quad_resolution=cfg["quad_res"],
+            workers=cfg["workers"],
+        )
+    except ValueError as exc:  # the grid, the scenario, or a sample too small for the fit
+        raise DataError(str(exc)) from exc
     buffer = io.StringIO()
     result.write_csv(buffer)
     _write_bytes(cfg["out"], buffer.getvalue())

@@ -35,10 +35,10 @@ class DensityModel:
     weights: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
+        if not np.all(self.weights > 0) or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("mixing weights must be positive and sum to 1")
-        if np.any(self.kappas < 0):
-            raise ValueError("concentrations must be nonnegative")
+        if not np.all((self.kappas >= 0) & (self.kappas < np.inf)):
+            raise ValueError("concentrations must be finite and nonnegative")
 
 
 def uniform_model(q: int) -> DensityModel:

@@ -160,20 +160,24 @@ def statistic_from_residuals(cache: NodeCache, residuals) -> np.ndarray | float:
     with the n x n Gram matrix G = S^T S, S = diag(sqrt(f)) R (a syrk, f >= 0,
     summed over slices of GRAM_SLICE nodes); it is evaluated that way when it
     takes fewer flops, n (m + 2 r) < 2 m r, and otherwise by smoothing every
-    row at every node.
+    row at every node.  A non-finite value raises RuntimeError.
     """
     residuals = np.asarray(residuals, dtype=float)
-    if residuals.ndim == 1:
-        return float(cache.node_factor @ (cache.rows @ residuals) ** 2)
     (m, n), r = cache.rows.shape, residuals.shape[0]
-    if n * (m + 2 * r) < 2 * m * r:
+    if residuals.ndim == 1:
+        values = float(cache.node_factor @ (cache.rows @ residuals) ** 2)
+    elif n * (m + 2 * r) < 2 * m * r:
         scale = np.sqrt(cache.node_factor)[:, None]
         first, *rest = locreg.node_blocks(m, GRAM_SLICE)
         gram = _scaled_gram(cache.rows[first], scale[first])
         for part in rest:
             gram += _scaled_gram(cache.rows[part], scale[part])
-        return np.einsum("bi,bi->b", residuals @ gram, residuals)
-    return cache.node_factor @ (cache.rows @ residuals.T) ** 2
+        values = np.einsum("bi,bi->b", residuals @ gram, residuals)
+    else:
+        values = cache.node_factor @ (cache.rows @ residuals.T) ** 2
+    if not np.all(np.isfinite(values)):
+        raise RuntimeError("non-finite statistic: residuals too large to square, or not finite")
+    return values
 
 
 def _scaled_gram(rows, scale):
@@ -305,8 +309,6 @@ def bootstrap_test(predictors, responses, family: parfit.ParametricFamily, cfg: 
     theta_hat, residuals, failed = null_bootstrap(predictors, responses, family, cfg)
     cache = node_cache(predictors, cfg)
     values = statistic_from_residuals(cache, residuals)
-    if not np.all(np.isfinite(values)):
-        raise RuntimeError("non-finite statistic: residuals too large to square, or not finite")
     observed, replicate_stats = float(values[0]), values[1:]
     return GofResult(
         statistic=observed,

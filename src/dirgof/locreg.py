@@ -7,10 +7,11 @@ responses; those effective weights are the central object here because the
 goodness-of-fit statistic reuses them across quadrature nodes and bootstrap
 replicates.
 
-Degree-1 solves run over blocks of nodes.  Where a gate proves the normal
-equations safe, three kernel-weighted moments give one (q+1)×(q+1) system
-A = PΣP + xxᵀ in ambient coordinates (P = I - xxᵀ, Σ the local covariance),
-with no tangent basis; elsewhere an orthogonal factorization of the
+Degree-1 rows are built over blocks of nodes.  Where a gate proves the
+normal equations safe, three kernel-weighted moments give one (q+1)×(q+1)
+system A = PΣP + xxᵀ in ambient coordinates (P = I - xxᵀ, Σ the local
+covariance) and write fitted-value rows only; elsewhere, and at the one point
+of ``estimate`` or ``local_weights``, an orthogonal factorization of the
 square-root-weighted tangent design.  A node with no kernel mass gets a zero
 row, and a degree-1 node whose design fails the rank test falls back to the
 local-constant row and is flagged ``regularized``, so degenerate nodes abort
@@ -93,43 +94,33 @@ def _check_size(n: int, q: int, cfg: LocalFitConfig) -> None:
         raise ValueError("need at least one observation")
 
 
-def _coefficient_weights(nodes, predictors, raw, degree: int, out=None):
-    """Coefficient weights of the local fits at a stack of nodes.
-
-    Returns (m, p, n) weights, so that ``weights[j] @ y`` is the coefficient
-    vector at node j (fitted value first, then the projected gradient unless
-    the (m, n) fitted-value rows go into ``out``), and the (m,) mask of nodes
-    with kernel mass that fell back to local constant.  Degree 1 takes the
-    moments where their gate passes and the stacked QR at every other node; a
-    node that fails its rank test gets the row k / sum(k) and a zero gradient.
-    A node with no kernel mass gets zero weights.
+def _coefficient_weights(nodes, predictors, raw, degree: int, out):
+    """Fitted-value rows of the local fits at a stack of nodes, written into
+    ``out`` (m, n); returns the (m,) mask of nodes that fell back to local
+    constant.  Degree 1 takes the moments where their gate passes and the
+    stacked QR at every other node with kernel mass; an empty node's row is 0.
     """
     if degree == 0:
         sums = raw.sum(axis=1)
         sums[sums == 0] = 1.0  # an empty node's zero row, without 0/0
-        rows = np.divide(raw, sums[:, None], out=out)
-        return rows[:, None, :], np.zeros(len(nodes), dtype=bool)
-    coef = np.empty((len(nodes),) + predictors.shape[::-1]) if out is None else out[:, None, :]
-    coef, fast = _moment_coefficients(nodes, predictors, raw, coef)
-    slow = ~fast & raw.any(axis=1)
+        np.divide(raw, sums[:, None], out=out)
+        return np.zeros(len(nodes), dtype=bool)
+    slow = ~_moment_rows(nodes, predictors, raw, out) & raw.any(axis=1)
     flags = np.zeros(len(nodes), dtype=bool)
     if slow.any():
-        qr_coef, flags[slow] = _qr_coefficients(nodes[slow], predictors, raw[slow])
-        coef[slow] = qr_coef[:, : coef.shape[1]]
-        coef[flags] = 0.0
-        coef[flags, 0] = raw[flags] / raw[flags].sum(axis=1, keepdims=True)
-    return coef, flags
+        coef, flags[slow] = _qr_coefficients(nodes[slow], predictors, raw[slow])
+        out[slow] = coef[:, 0]
+    return flags
 
 
-def _moment_coefficients(nodes, predictors, raw, coef):
-    """Degree-1 coefficient weights from three kernel-weighted moments, written
-    into ``coef`` (m, p, n) and returned with the mask of nodes where the gate
-    passes; the weights of other nodes are zero.
+def _moment_rows(nodes, predictors, raw, out):
+    """Degree-1 fitted-value rows from three kernel-weighted moments, written
+    into ``out`` (m, n), and the mask of nodes where the gate passes; the rows
+    of other nodes are zero.
 
     With x̄ = M1/S0, Σ = M2/S0 - x̄x̄ᵀ, P = I - xxᵀ and A = PΣP + xxᵀ, so that
     A⁻¹ = B C⁻¹ Bᵀ + xxᵀ for a tangent basis B and C = BᵀΣB, the fitted-value
-    row is k_i (1 - (X_i - x̄)ᵀv) / S0 with v = A⁻¹Px̄, and the gradient rows
-    are k_i BᵀA⁻¹(X_i - x̄) / S0 in the coordinates of ``tangent_bases``.
+    row is k_i (1 - (X_i - x̄)ᵀv) / S0 with v = A⁻¹Px̄.
     """
     m, d = nodes.shape
     # rows [1, Xᵀ, (X ⊗ X)ᵀ], whose kernel-weighted sums are S0, M1 and M2
@@ -159,24 +150,21 @@ def _moment_coefficients(nodes, predictors, raw, coef):
         fast &= shifted[:, j, j] > 0
         column = shifted[:, j + 1 :, j, None] / np.where(fast, shifted[:, j, j], 1.0)[:, None, None]
         shifted[:, j + 1 :, j + 1 :] -= column * shifted[:, None, j, j + 1 :]
-    rhs = -pxbar[fast]
-    if coef.shape[1] > 1:
-        rhs = np.concatenate([rhs, tangent_bases(nodes[fast])], axis=2)
-    lin = np.swapaxes(np.linalg.solve(ambient[fast], rhs), 1, 2)  # rows -vᵀ, then BᵀA⁻¹
-    weights = np.zeros(coef.shape[:2] + (d + 1,))  # coefficients of [1, X_i] per row
-    weights[fast, :, 0] = (np.arange(lin.shape[1]) == 0) - (lin @ xbar[fast])[:, :, 0]
-    weights[fast, :, 1:] = lin
-    weights /= sums
-    for j in range(coef.shape[1]):
-        np.matmul(weights[:, j], products[: d + 1], out=coef[:, j])
-        coef[:, j] *= raw
-    return coef, fast
+    lin = np.swapaxes(np.linalg.solve(ambient[fast], -pxbar[fast]), 1, 2)  # rows -vᵀ
+    weights = np.zeros((m, d + 1))  # coefficients of [1, X_i] per row
+    weights[fast, 0] = 1.0 - (lin @ xbar[fast])[:, 0, 0]
+    weights[fast, 1:] = lin[:, 0]
+    weights /= sums[:, 0]
+    np.matmul(weights, products[: d + 1], out=out)
+    out *= raw
+    return fast
 
 
 def _qr_coefficients(nodes, predictors, raw):
-    """Degree-1 coefficient weights, R^-1 Q^T of the square-root-weighted
-    designs scaled by the root weights, and the mask of nodes whose R
-    diagonal fails the rank test, whose weights the caller replaces."""
+    """Degree-1 coefficient weights (m, q+1, n), R^-1 Q^T of the
+    square-root-weighted designs scaled by the root weights, and the mask of
+    nodes whose R diagonal fails the rank test.  Those nodes fall back to
+    local constant: the fitted-value row k / sum(k) and a zero gradient."""
     centered = predictors[None, :, :] - nodes[:, None, :]
     tangent = centered @ tangent_bases(nodes)
     design = np.concatenate([np.ones(tangent.shape[:2] + (1,)), tangent], axis=2)
@@ -190,18 +178,24 @@ def _qr_coefficients(nodes, predictors, raw):
     # than a stacked solve with n right-hand sides; row 0 of R^-1 is the
     # forward solve R^T z = e1 that gives the fitted-value weights.
     r_mat[flags] = np.eye(design.shape[2])
-    return (np.linalg.inv(r_mat) @ np.swapaxes(q_mat, 1, 2)) * sw[:, None, :], flags
+    coef = (np.linalg.inv(r_mat) @ np.swapaxes(q_mat, 1, 2)) * sw[:, None, :]
+    coef[flags] = 0.0
+    coef[flags, 0] = raw[flags] / raw[flags].sum(axis=1, keepdims=True)
+    return coef, flags
 
 
 def _fit_at(x, predictors, cfg: LocalFitConfig):
-    """Coefficient weights (p, n) and the fallback flag at one point."""
+    """Coefficient weights (p, n) and the fallback flag at one point: the
+    local-constant row, or the stacked QR on that one node."""
     x = np.asarray(x, dtype=float)[None]
     predictors = np.asarray(predictors, dtype=float)
     _check_size(len(predictors), predictors.shape[1] - 1, cfg)
     raw = kernel_weight_matrix(x, predictors, cfg)
     if not raw.any():
         raise SingularGramError("all kernel weights vanish at this point")
-    coef, flags = _coefficient_weights(x, predictors, raw, cfg.degree)
+    if cfg.degree == 0:
+        return raw / raw.sum(), False
+    coef, flags = _qr_coefficients(x, predictors, raw)
     return coef[0], bool(flags[0])
 
 
@@ -231,7 +225,7 @@ def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None, out=None):
     for block in node_blocks(len(nodes)):
         flags[block] = _coefficient_weights(
             nodes[block], predictors, raw[block], cfg.degree, rows[block]
-        )[1]
+        )
     return rows, flags
 
 

@@ -394,6 +394,25 @@ def test_overflowing_response_is_a_numeric_failure(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("trace", ["--theta0", "1e200,1e200,0"]),
+        ("power", ["--theta0", "0,0,0", "--deviation", "d1", "--deviation-coef", "1e200"]),
+    ],
+)
+def test_overflowing_trace_is_a_numeric_failure(tmp_path, command, extra):
+    """A simulated response too large to square exits 3 instead of writing
+    rejection rates computed from infinite statistics."""
+    out = tmp_path / "t.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run_main("--command", command, "--scenario", "custom", "--family", "linear",
+                      *extra, "--design", "M1", "--q", "1", "--n", "60", "--B", "20",
+                      "--M", "2", "--h-grid", "0.3,0.6", "--out", str(out))
+    assert rc == cli.EXIT_NUMERIC_ERROR
+    assert not out.exists()
+
+
 def test_non_finite_inputs_are_data_errors(tmp_path, capsys):
     """NaN cells and non-finite bandwidths exit 2 instead of rejecting with p 0."""
     data = tmp_path / "d.csv"
@@ -416,3 +435,35 @@ def test_non_finite_inputs_are_data_errors(tmp_path, capsys):
         assert run_main(*base, "--h-grid", grid) == cli.EXIT_DATA_ERROR
     assert run_main(*base, "--h-grid", "0.3", "--alpha-list", "0.05,nan") == cli.EXIT_DATA_ERROR
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("design", ["nan:2:0,1", "1:inf:0,1", "1:nan:0,1"])
+def test_non_finite_design_components_are_data_errors(tmp_path, capsys, design):
+    out = tmp_path / "o.csv"
+    rc = run_main("--command", "trace", "--scenario", "custom", "--q", "1", "--n", "30",
+                  "--family", "constant", "--theta0", "0.5", "--design", design,
+                  "--M", "2", "--B", "5", "--h-grid", "0.5", "--out", str(out))
+    assert rc == cli.EXIT_DATA_ERROR
+    assert "dirgof: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--h-grid", "-0.5,0.3"],
+        ["--h-grid", "0.3,0.3"],
+        ["--h-grid", "0"],
+        ["--command", "power", "--scenario", "QQ", "--h-grid", "0.3"],
+        ["--h-grid", "0.3", "--scenario", "S2", "--q", "3", "--n", "4", "--p", "1"],
+    ],
+)
+def test_trace_argument_errors_are_data_errors(tmp_path, capsys, extra):
+    """Grids, scenarios and sample sizes that ``simsuite.significance_trace``
+    refuses exit 2."""
+    out = tmp_path / "t.csv"
+    rc = run_main("--command", "trace", "--scenario", "S1", "--q", "1", "--n", "30",
+                  "--M", "2", "--B", "5", *extra, "--out", str(out))
+    assert rc == cli.EXIT_DATA_ERROR
+    assert "dirgof: error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -44,6 +44,12 @@ def test_mixture_weights_validated():
         density.mixture_model([(mu, -1.0, 1.0)])
 
 
+@pytest.mark.parametrize("weight, kappa", [(np.nan, 2.0), (1.0, np.inf), (1.0, np.nan)])
+def test_non_finite_components_rejected(weight, kappa):
+    with pytest.raises(ValueError):
+        density.mixture_model([(np.array([0.0, 1.0]), kappa, weight)])
+
+
 def test_kde_single_point():
     x = np.array([0.0, 1.0])
     h = 0.5

@@ -435,14 +435,14 @@ def test_moment_rows_match_qr_rows_across_the_gate(monkeypatch, rng):
     against the stacked QR at every node: identical flags, rows within 1e-10
     relative, and so statistics within 1e-10 relative too."""
     masks = []
-    moments = locreg._moment_coefficients
+    moments = locreg._moment_rows
 
     def recorded(*args):
-        coef, fast = moments(*args)
+        fast = moments(*args)
         masks.append(fast)
-        return coef, fast
+        return fast
 
-    monkeypatch.setattr(locreg, "_moment_coefficients", recorded)
+    monkeypatch.setattr(locreg, "_moment_rows", recorded)
     shares = []
     for scenario, q, h in GATE_CASES:
         nodes, predictors, cfg, raw = gate_case(scenario, q, h)
@@ -471,9 +471,8 @@ def test_ambient_moment_rows_match_the_tangent_form():
     for scenario, q, h in GATE_CASES:
         nodes, predictors, cfg, raw = gate_case(scenario, q, h)
         ref_rows, ref_fast, gate = oracles.tangent_moment_rows(nodes, predictors, raw)
-        coef, fast = locreg._moment_coefficients(
-            nodes, predictors, raw, np.empty((len(nodes), 1, len(predictors)))
-        )
+        coef = np.empty((len(nodes), 1, len(predictors)))
+        fast = locreg._moment_rows(nodes, predictors, raw, coef[:, 0])
         near = np.abs(gate / locreg.MOMENT_GATE - 1.0) < 1e-6
         assert np.array_equal(fast | near, ref_fast | near)
         both = fast & ref_fast
@@ -482,6 +481,28 @@ def test_ambient_moment_rows_match_the_tangent_form():
         error = np.abs(coef[both, 0] - ref_rows[both]).max(axis=1) / scale
         assert np.all(error <= 1e-12 + 4.0 * gate[both])
         assert not np.any(coef[~fast])
+
+
+def test_single_point_fits_are_the_stacked_qr_rows(rng):
+    """``local_weights`` and ``estimate`` at one point are the stacked QR's
+    rows on that one node, bit for bit, at up to four GATE_CASES nodes of
+    each kind: inside the moment gate, outside it, and flagged by the rank
+    test.  A single-point fit never takes the moment form."""
+    for scenario, q, h in GATE_CASES:
+        nodes, predictors, cfg, raw = gate_case(scenario, q, h)
+        fast = locreg._moment_rows(nodes, predictors, raw, np.empty_like(raw))
+        flags = oracles.stacked_qr_weight_rows(nodes, predictors, raw)[1]
+        responses = rng.standard_normal(len(predictors))
+        for kind in (fast, ~fast & ~flags, flags):
+            picked = np.flatnonzero(kind)
+            for x in nodes[picked[:: len(picked) // 4 + 1]]:
+                ref_rows, ref_flags = oracles.stacked_qr_weight_rows(
+                    x[None], predictors, locreg.kernel_weights(x, predictors, cfg)[None]
+                )
+                fit = locreg.estimate(x, predictors, responses, cfg)
+                assert np.array_equal(locreg.local_weights(x, predictors, cfg), ref_rows[0])
+                assert np.array_equal(fit.weights, ref_rows[0])
+                assert fit.regularized == ref_flags[0]
 
 
 def test_nodes_passing_the_moment_gate_pass_the_rank_test():
