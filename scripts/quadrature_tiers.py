@@ -50,12 +50,9 @@ def main() -> None:
                 for degree, h, r in cells:
                     fit = LocalFitConfig(degree, h)
                     coarse, fine = (
-                        goftest.statistic_from_residuals(
-                            goftest.node_cache(
-                                predictors, goftest.GofConfig(fit=fit, quadrature=rules[size])
-                            ),
-                            residuals,
-                        )
+                        goftest.streamed_statistic(
+                            predictors, goftest.GofConfig(fit=fit, quadrature=rules[size]), residuals
+                        )[0]
                         for size in (r, 48)
                     )
                     gap = float(np.max(np.abs(coarse - fine) / np.abs(fine)))

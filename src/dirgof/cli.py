@@ -401,24 +401,23 @@ def cmd_trace(cfg: dict, under_null: bool) -> int:
 
 def cmd_qqcheck(cfg: dict) -> int:
     scenario = _scenario_from_config(cfg)
-    if scenario.noise != "hom":
-        raise DataError(
-            f"qqcheck needs a homoscedastic scenario, {scenario.id} is not"
-        )
     if cfg["scenario"] == "QQ":
         if cfg["sigma2"] <= 0:
             raise DataError("sigma2 must be positive")
         scenario = dataclasses.replace(scenario, noise_sd=sqrt(cfg["sigma2"]))
-    result = simsuite.qq_experiment(
-        scenario,
-        n=cfg["n"],
-        h=cfg["h"],
-        trials=cfg["M"],
-        seed=cfg["seed"],
-        degree=cfg["p"],
-        quad_resolution=cfg["quad_res"],
-        workers=cfg["workers"],
-    )
+    try:
+        result = simsuite.qq_experiment(
+            scenario,
+            n=cfg["n"],
+            h=cfg["h"],
+            trials=cfg["M"],
+            seed=cfg["seed"],
+            degree=cfg["p"],
+            quad_resolution=cfg["quad_res"],
+            workers=cfg["workers"],
+        )
+    except ValueError as exc:  # a heteroscedastic scenario, or a sample too small for the fit
+        raise DataError(str(exc)) from exc
     lines = ["rep,t_std"]
     for i, value in enumerate(result.values):
         lines.append(f"{i},{value:.17g}")

@@ -4,12 +4,15 @@ The statistic integrates, over the sphere, the squared gap between the
 local fit of the responses and the locally smoothed parametric fit, weighted
 by a kernel density estimate of the design (and an optional weight
 function).  Because both smoothers share the same effective weights, the
-gap reduces to the smoothed parametric residuals, so the weight rows, the
-density estimate and the quadrature are computed once per bandwidth and
-shared read-only across the wild bootstrap replicates.  They are built per
-block of ``locreg.NODE_BLOCK`` nodes and the statistic's Gram matrix from
-slices of ``GRAM_SLICE`` nodes, so the (m, n) weight rows are the one
-node-by-data array a test call holds; a trace adds its cached chordal gaps.
+gap reduces to the smoothed parametric residuals, so the weight rows and
+the density estimate are computed once per bandwidth for all the wild
+bootstrap replicates at once.  The statistic is a quadratic form in the
+residuals whose Gram matrix is a sum over nodes, so the rows are built one
+slice of ``GRAM_SLICE`` nodes at a time (per block of ``locreg.NODE_BLOCK``)
+into one reused (GRAM_SLICE, n) buffer and folded into the statistic as each
+slice is built: no test call or trace bandwidth holds the (m, n) rows, and a
+trace adds only its cached chordal gaps.  ``node_cache`` collects the same
+slices into the rows for callers that want them.
 
 Calibration follows a residual wild bootstrap with golden-section
 multipliers: resampled responses are the parametric fit plus residuals
@@ -113,19 +116,28 @@ class NodeCache:
     regularized: np.ndarray
     empty_count: int
 
-    @property
-    def regularized_count(self) -> int:
-        return int(self.regularized.sum())
-
 
 def node_cache(predictors, cfg: GofConfig, gaps=None) -> NodeCache:
-    """Weight rows and the density/weight/quadrature factor at every node,
-    built per block of ``locreg.NODE_BLOCK`` nodes so the rows are the one (m, n)
-    array; ``gaps`` as in ``locreg.kernel_weight_matrix``, shared by a grid.
-    A node with no kernel mass (f̂ = 0, a zero row) is counted; only a rule
-    of such nodes raises."""
+    """Weight rows and the density/weight/quadrature factor at every node:
+    the slices of ``_node_slices`` collected into one (m, n) array.  ``gaps``
+    as in ``locreg.kernel_weight_matrix``.  A node with no kernel mass (f̂ = 0,
+    a zero row) is counted; only a rule of such nodes raises."""
+    m = cfg.quadrature.node_count
+    rows, node_factor = np.empty((m, len(predictors))), np.empty(m)
+    flags, means = np.empty(m, dtype=bool), np.empty(m)
+    for part, part_rows, factor in _node_slices(predictors, cfg, gaps, flags, means):
+        rows[part], node_factor[part] = part_rows, factor
+    return NodeCache(rows, node_factor, regularized=flags, empty_count=int((means == 0).sum()))
+
+
+def _node_slices(predictors, cfg: GofConfig, gaps, flags, means):
+    """(slice, weight rows, node factor) for each slice of at most
+    ``GRAM_SLICE`` nodes, in order.  The rows are built per ``locreg.NODE_BLOCK``
+    block into one reused buffer, so they last until the next slice is drawn
+    and the consumer may overwrite them.  ``flags`` and ``means`` (m,) receive
+    every node's fallback flag and mean kernel value; a rule whose every node
+    has no kernel mass raises after its last slice."""
     predictors = np.asarray(predictors, dtype=float)
-    q = predictors.shape[1] - 1
     nodes = cfg.quadrature.nodes
     m = len(nodes)
     wvals = np.ones(m) if cfg.weight_fn is None else np.asarray(
@@ -133,24 +145,41 @@ def node_cache(predictors, cfg: GofConfig, gaps=None) -> NodeCache:
     )
     if not np.all((wvals >= 0) & (wvals < np.inf)):
         raise ValueError("weight_fn must return finite, non-negative values")
-    rows, flags, means = np.empty((m, len(predictors))), np.empty(m, dtype=bool), np.empty(m)
-    for block in locreg.node_blocks(m):
-        raw = locreg.kernel_weight_matrix(
-            nodes[block], predictors, cfg.fit, gaps=None if gaps is None else gaps[block]
-        )
-        means[block] = raw.mean(axis=1)
-        flags[block] = locreg.weight_rows(
-            nodes[block], predictors, cfg.fit, raw=raw, out=rows[block]
-        )[1]
+    norm = normalizing_constant(cfg.fit.kernel, predictors.shape[1] - 1, cfg.fit.bandwidth)
+    buffer = np.empty((min(m, GRAM_SLICE), len(predictors)))
+    for part in locreg.node_blocks(m, GRAM_SLICE):
+        rows = buffer[: len(nodes[part])]
+        for block in locreg.node_blocks(len(rows)):
+            at = slice(part.start + block.start, part.start + block.stop)
+            raw = locreg.kernel_weight_matrix(
+                nodes[at], predictors, cfg.fit, gaps=None if gaps is None else gaps[at]
+            )
+            means[at] = raw.mean(axis=1)
+            flags[at] = locreg.weight_rows(
+                nodes[at], predictors, cfg.fit, raw=raw, out=rows[block]
+            )[1]
+        yield part, rows, cfg.quadrature.weights[part] * (norm * means[part]) * wvals[part]
     if not means.any():
         raise locreg.SingularGramError(f"all {m} nodes have all-zero kernel weights")
-    fhat = normalizing_constant(cfg.fit.kernel, q, cfg.fit.bandwidth) * means
-    return NodeCache(
-        rows=rows,
-        node_factor=cfg.quadrature.weights * fhat * wvals,
-        regularized=flags,
-        empty_count=int((means == 0).sum()),
-    )
+
+
+def _quadratic_form(slices, m: int, residuals) -> np.ndarray | float:
+    """``statistic_from_residuals`` summed over ``slices`` of m nodes in all;
+    the Gram form scales the rows it is handed in place."""
+    residuals = np.asarray(residuals, dtype=float)
+    n, r = residuals.shape[-1], residuals.shape[0]
+    gram_form = residuals.ndim == 2 and n * (m + 2 * r) < 2 * m * r
+    total = 0.0
+    for _, rows, factor in slices:
+        if gram_form:  # S = diag(sqrt(f)) R, and S^T S a syrk
+            rows *= np.sqrt(factor)[:, None]
+            total += rows.T @ rows
+        else:
+            total += factor @ (rows @ residuals.T) ** 2
+    values = np.einsum("bi,bi->b", residuals @ total, residuals) if gram_form else total
+    if not np.all(np.isfinite(values)):
+        raise RuntimeError("non-finite statistic: residuals too large to square, or not finite")
+    return float(values) if residuals.ndim == 1 else values
 
 
 def statistic_from_residuals(cache: NodeCache, residuals) -> np.ndarray | float:
@@ -160,30 +189,27 @@ def statistic_from_residuals(cache: NodeCache, residuals) -> np.ndarray | float:
     with the n x n Gram matrix G = S^T S, S = diag(sqrt(f)) R (a syrk, f >= 0,
     summed over slices of GRAM_SLICE nodes); it is evaluated that way when it
     takes fewer flops, n (m + 2 r) < 2 m r, and otherwise by smoothing every
-    row at every node.  A non-finite value raises RuntimeError.
+    row at every node, slice by slice.  A non-finite value raises RuntimeError.
     """
-    residuals = np.asarray(residuals, dtype=float)
-    (m, n), r = cache.rows.shape, residuals.shape[0]
-    if residuals.ndim == 1:
-        values = float(cache.node_factor @ (cache.rows @ residuals) ** 2)
-    elif n * (m + 2 * r) < 2 * m * r:
-        scale = np.sqrt(cache.node_factor)[:, None]
-        first, *rest = locreg.node_blocks(m, GRAM_SLICE)
-        gram = _scaled_gram(cache.rows[first], scale[first])
-        for part in rest:
-            gram += _scaled_gram(cache.rows[part], scale[part])
-        values = np.einsum("bi,bi->b", residuals @ gram, residuals)
-    else:
-        values = cache.node_factor @ (cache.rows @ residuals.T) ** 2
-    if not np.all(np.isfinite(values)):
-        raise RuntimeError("non-finite statistic: residuals too large to square, or not finite")
-    return values
+    m = cache.rows.shape[0]
+    slices = (
+        (part, cache.rows[part].copy(), cache.node_factor[part])
+        for part in locreg.node_blocks(m, GRAM_SLICE)
+    )
+    return _quadratic_form(slices, m, residuals)
 
 
-def _scaled_gram(rows, scale):
-    """S^T S of S = diag(scale) rows, a syrk; S lives only in this call."""
-    root = rows * scale
-    return root.T @ root
+def streamed_statistic(
+    predictors, cfg: GofConfig, residuals, gaps=None
+) -> tuple[np.ndarray | float, int, int]:
+    """``statistic_from_residuals(node_cache(predictors, cfg, gaps), residuals)``
+    and the counts of regularized and empty nodes, built one slice at a time,
+    so that no (m, n) array of rows exists, only one (GRAM_SLICE, n) buffer."""
+    m = cfg.quadrature.node_count
+    flags, means = np.empty(m, dtype=bool), np.empty(m)
+    slices = _node_slices(predictors, cfg, gaps, flags, means)
+    values = _quadratic_form(slices, m, residuals)
+    return values, int(flags.sum()), int((means == 0).sum())
 
 
 def statistic(predictors, responses, family: parfit.ParametricFamily, theta, cfg: GofConfig) -> float:
@@ -191,7 +217,7 @@ def statistic(predictors, responses, family: parfit.ParametricFamily, theta, cfg
     residuals = np.asarray(responses, dtype=float) - parfit.predict_batch(
         family, theta, predictors
     )
-    return statistic_from_residuals(node_cache(predictors, cfg), residuals)
+    return streamed_statistic(predictors, cfg, residuals)[0]
 
 
 @dataclass
@@ -307,16 +333,15 @@ def bootstrap_test(predictors, responses, family: parfit.ParametricFamily, cfg: 
     predictors = np.asarray(predictors, dtype=float)
     n, dim = predictors.shape
     theta_hat, residuals, failed = null_bootstrap(predictors, responses, family, cfg)
-    cache = node_cache(predictors, cfg)
-    values = statistic_from_residuals(cache, residuals)
+    values, regularized, empty = streamed_statistic(predictors, cfg, residuals)
     observed, replicate_stats = float(values[0]), values[1:]
     return GofResult(
         statistic=observed,
         bootstrap_statistics=replicate_stats,
         p_value=float(np.mean(observed <= replicate_stats)),
         theta_hat=theta_hat,
-        regularized_nodes=cache.regularized_count,
-        empty_nodes=cache.empty_count,
+        regularized_nodes=regularized,
+        empty_nodes=empty,
         failed_replicates=failed,
         config=_config_echo(cfg, n, dim - 1, family.kind),
     )

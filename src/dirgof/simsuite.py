@@ -260,7 +260,7 @@ def _trial_p_values(
                 drift = local_alternative_scale(n, h, scenario.q) * scenario.deviation_coef
                 y = responses + drift * _DEVIATIONS[scenario.deviation](predictors)
             _, residuals, _ = goftest.null_bootstrap(predictors, y, scenario.family, cfg, multipliers)
-        values = goftest.statistic_from_residuals(goftest.node_cache(predictors, cfg, gaps), residuals)
+        values = goftest.streamed_statistic(predictors, cfg, residuals, gaps)[0]
         out[i] = np.mean(values[0] <= values[1:])
     return out
 

@@ -451,6 +451,24 @@ def test_non_finite_design_components_are_data_errors(tmp_path, capsys, design):
 @pytest.mark.parametrize(
     "extra",
     [
+        ["--q", "3", "--n", "4", "--p", "1"],
+        ["--q", "3", "--n", "4", "--p", "1", "--workers", "2"],
+    ],
+)
+def test_qqcheck_argument_errors_are_data_errors(tmp_path, capsys, extra):
+    """Samples too small for the fit, which ``simsuite.qq_experiment``
+    refuses, exit 2 from one worker or a pool."""
+    out = tmp_path / "q.csv"
+    rc = run_main("--command", "qqcheck", "--scenario", "QQ", "--q", "1", "--n", "30",
+                  "--M", "2", "--h", "0.5", *extra, "--out", str(out))
+    assert rc == cli.EXIT_DATA_ERROR
+    assert "dirgof: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
         ["--h-grid", "-0.5,0.3"],
         ["--h-grid", "0.3,0.3"],
         ["--h-grid", "0"],

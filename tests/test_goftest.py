@@ -219,6 +219,109 @@ def test_test_call_peak_memory_near_one_rows_array():
     assert peak < 1.5 * m * n * 8 + 4e6, peak / (m * n * 8)
 
 
+def test_streamed_test_call_peaks_below_half_a_rows_array():
+    """The test call above holds no (m, n) array at all: the rows live one
+    GRAM_SLICE slice at a time in one buffer, scaled in place for the Gram
+    matrix, so the traced peak stays below half of m n doubles."""
+    rng = np.random.default_rng(11)
+    m, n = 12_000, 150
+    predictors = sample_uniform(3, n, rng)
+    responses = 1.0 + predictors[:, 0] + 0.5 * rng.standard_normal(n)
+    cfg = goftest.GofConfig(
+        fit=LocalFitConfig(degree=1, bandwidth=0.5),
+        quadrature=goftest.default_quadrature(3, m),
+        bootstrap=100,
+    )
+    tracemalloc.start()
+    try:
+        goftest.bootstrap_test(predictors, responses, parfit.linear_family(3), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * m * n * 8 + 3e6, peak / (m * n * 8)
+
+
+@pytest.mark.parametrize(
+    "weight_fn", [None, lambda nodes: 1.0 + nodes[:, 0] ** 2], ids=["unweighted", "weighted"]
+)
+@pytest.mark.parametrize("with_gaps", [False, True], ids=["products", "gaps"])
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("q, resolution", [(1, None), (2, 72), (3, 4500)])
+def test_streamed_statistic_matches_the_node_cache(q, resolution, degree, with_gaps, weight_fn, rng):
+    """The streamed statistic equals statistic_from_residuals(node_cache(...))
+    bit for bit in its Gram (100 rows), direct (10 rows) and one-row forms,
+    with the same counts; on 256, 5184 (72 x 72) and 4500 nodes.  Against the
+    whole-rule arithmetic it is bit-identical in the Gram form and on rules
+    of at most GRAM_SLICE nodes; a direct form over more nodes sums slice by
+    slice, within 1e-13."""
+    n = 40
+    predictors, _ = sample_constant_model(rng, n=n, q=q)
+    cfg = goftest.GofConfig(
+        fit=LocalFitConfig(degree=degree, bandwidth=0.5),
+        quadrature=goftest.default_quadrature(q, resolution),
+        weight_fn=weight_fn,
+    )
+    m = cfg.quadrature.node_count
+    gaps = 1.0 - cfg.quadrature.nodes @ predictors.T if with_gaps else None
+    cache = goftest.node_cache(predictors, cfg, gaps)
+    for r in (100, 10, None):
+        residuals = rng.standard_normal(n if r is None else (r, n))
+        values, regularized, empty = goftest.streamed_statistic(predictors, cfg, residuals, gaps)
+        expected = goftest.statistic_from_residuals(cache, residuals)
+        assert type(values) is type(expected)
+        np.testing.assert_array_equal(values, expected)
+        assert (regularized, empty) == (cache.regularized.sum(), cache.empty_count)
+        if r == 100:
+            assert n * (m + 2 * r) < 2 * m * r
+            gram = 0.0
+            for part in locreg.node_blocks(m, goftest.GRAM_SLICE):
+                root = cache.rows[part] * np.sqrt(cache.node_factor[part])[:, None]
+                gram += root.T @ root
+            np.testing.assert_array_equal(values, np.einsum("bi,bi->b", residuals @ gram, residuals))
+            continue
+        whole_rule = cache.node_factor @ (cache.rows @ residuals.T) ** 2
+        if m <= goftest.GRAM_SLICE:
+            np.testing.assert_array_equal(values, whole_rule)
+        else:
+            np.testing.assert_allclose(values, whole_rule, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_streamed_counts_match_the_node_cache_on_a_cap(degree, rng):
+    """Data in a cap at the north pole leave 1209 nodes empty and, at degree
+    1, flag others: the streamed statistic and the test count both alike."""
+    predictors = sample_uniform(2, 30, rng) + [0.0, 0.0, 3.0]
+    predictors /= np.linalg.norm(predictors, axis=1, keepdims=True)
+    responses = 1.0 + 0.5 * rng.standard_normal(30)
+    cfg = make_cfg(q=2, degree=degree, h=0.03, bootstrap=20)
+    cache = goftest.node_cache(predictors, cfg)
+    flagged = int(cache.regularized.sum())
+    assert cache.empty_count == 1209 and (flagged > 0) == (degree == 1)
+    residuals = rng.standard_normal((21, 30))
+    values, regularized, empty = goftest.streamed_statistic(predictors, cfg, residuals)
+    assert (regularized, empty) == (flagged, 1209)
+    np.testing.assert_array_equal(values, goftest.statistic_from_residuals(cache, residuals))
+    flags = goftest.bootstrap_test(predictors, responses, parfit.constant_family(), cfg).to_dict()["flags"]
+    assert (flags["regularized_nodes"], flags["empty_nodes"]) == (flagged, 1209)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_streamed_statistic_raises_when_every_node_is_empty(degree, rng):
+    """The 8-node circle rule of the all-empty case above: the streamed
+    statistic raises after its one slice, and so does the test."""
+    angles = pi / 8 + rng.uniform(-0.03, 0.03, 10)
+    predictors = np.column_stack([np.cos(angles), np.sin(angles)])
+    cfg = goftest.GofConfig(
+        fit=LocalFitConfig(degree=degree, bandwidth=0.008),
+        quadrature=goftest.default_quadrature(1, 8),
+        bootstrap=5,
+    )
+    with pytest.raises(locreg.SingularGramError, match="^all 8 nodes "):
+        goftest.streamed_statistic(predictors, cfg, rng.standard_normal((6, 10)))
+    with pytest.raises(locreg.SingularGramError, match="^all 8 nodes "):
+        goftest.bootstrap_test(predictors, np.ones(10), parfit.constant_family(), cfg)
+
+
 def test_q2_degree0_rule_sized_by_bandwidth():
     counts = {
         h: goftest.default_quadrature(2, fit=LocalFitConfig(0, h)).node_count

@@ -1,10 +1,11 @@
 import io
+import tracemalloc
 from math import e, log, sqrt
 
 import numpy as np
 import pytest
 
-from dirgof import goftest, parfit, simsuite
+from dirgof import goftest, locreg, parfit, simsuite
 from dirgof.goftest import default_quadrature
 from dirgof.locreg import LocalFitConfig
 
@@ -210,18 +211,18 @@ def test_trace_equals_refitting_per_bandwidth(scenario_id, q, degree, quad_res):
 def _record_rules(monkeypatch):
     """Node counts the statistic sees, and the rules built, in call order."""
     seen = {"cache": [], "built": []}
-    node_cache, default_quadrature = goftest.node_cache, goftest.default_quadrature
+    streamed, default_quadrature = goftest.streamed_statistic, goftest.default_quadrature
 
-    def recording_cache(predictors, cfg, gaps=None):
+    def recording_statistic(predictors, cfg, residuals, gaps=None):
         seen["cache"].append(cfg.quadrature.node_count)
-        return node_cache(predictors, cfg, gaps)
+        return streamed(predictors, cfg, residuals, gaps)
 
     def recording_rule(*args, **kwargs):
         rule = default_quadrature(*args, **kwargs)
         seen["built"].append(rule.node_count)
         return rule
 
-    monkeypatch.setattr(goftest, "node_cache", recording_cache)
+    monkeypatch.setattr(goftest, "streamed_statistic", recording_statistic)
     monkeypatch.setattr(goftest, "default_quadrature", recording_rule)
     return seen
 
@@ -244,6 +245,25 @@ def test_trace_builds_one_rule_per_tier(monkeypatch, degree, quad_res, counts):
     )
     assert seen["cache"] == counts * 2
     assert seen["built"] == sorted(set(counts), reverse=True) * 2
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_trace_bandwidth_peaks_near_its_gaps_and_one_rows_array(degree):
+    """A q=2 trace trial on a 64 x 64 rule (m = GRAM_SLICE nodes) holds its
+    (m, n) chordal gaps and one (m, n) slice buffer, scaled in place for the
+    Gram matrix, plus a few (NODE_BLOCK, n) kernel-block temporaries; a
+    scaled copy of the rows would add a third (m, n) array."""
+    n, m = 200, 64 * 64
+    kw = dict(n=n, h_grid=[0.3, 0.6], trials=1, bootstrap=199, degree=degree, quad_resolution=64)
+    simsuite.significance_trace(simsuite.make_scenario("S1", 2), **kw)  # warm the caches
+    tracemalloc.start()
+    try:
+        simsuite.significance_trace(simsuite.make_scenario("S1", 2), **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == goftest.GRAM_SLICE
+    assert peak < (2 * m + 6 * locreg.NODE_BLOCK) * n * 8, peak / (m * n * 8)
 
 
 def test_q2_trace_p_values_match_the_48_rule():
