@@ -206,6 +206,8 @@ def _validate(cfg: dict) -> dict:
         raise DataError("--command is required (test, trace, power or qqcheck)")
     if cfg["out"] is None:
         raise DataError("--out is required")
+    if cfg["seed"] < 0:  # numpy seeds are non-negative; _merge reads any int
+        raise DataError(f"argument --seed: expected int >= 0, got {cfg['seed']}")
     for path_key in ("data", "constraint"):
         if cfg[path_key] is not None and not Path(cfg[path_key]).is_file():
             raise DataError(f"{path_key} file not found: {cfg[path_key]}")

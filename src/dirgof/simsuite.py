@@ -297,6 +297,8 @@ def significance_trace(
     if (local_alternative or not under_null) and scenario.deviation is None:
         raise ValueError(f"scenario {scenario.id} has no deviation to switch on")
     alphas = np.asarray(sorted(float(a) for a in alphas))
+    if np.any(np.diff(alphas) <= 0) or not np.all((alphas > 0) & (alphas < 1)):
+        raise ValueError("significance levels must lie in (0, 1) without duplicates")
     trial = partial(
         _trial_p_values, scenario=scenario, n=n, h_grid=h_grid, bootstrap=bootstrap,
         degree=degree, seed=seed, under_null=under_null, local_alternative=local_alternative,

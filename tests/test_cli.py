@@ -474,14 +474,36 @@ def test_qqcheck_argument_errors_are_data_errors(tmp_path, capsys, extra):
         ["--h-grid", "0"],
         ["--command", "power", "--scenario", "QQ", "--h-grid", "0.3"],
         ["--h-grid", "0.3", "--scenario", "S2", "--q", "3", "--n", "4", "--p", "1"],
+        ["--h-grid", "0.3", "--seed", "-1"],
+        ["--h-grid", "0.3", "--alpha-list", "1.5"],
+        ["--h-grid", "0.3", "--alpha-list", "-2"],
+        ["--h-grid", "0.3", "--alpha-list", "0.05,0.05"],
     ],
 )
 def test_trace_argument_errors_are_data_errors(tmp_path, capsys, extra):
-    """Grids, scenarios and sample sizes that ``simsuite.significance_trace``
-    refuses exit 2."""
+    """Grids, scenarios, sample sizes and significance levels that
+    ``simsuite.significance_trace`` refuses, and negative seeds, exit 2."""
     out = tmp_path / "t.csv"
     rc = run_main("--command", "trace", "--scenario", "S1", "--q", "1", "--n", "30",
                   "--M", "2", "--B", "5", *extra, "--out", str(out))
     assert rc == cli.EXIT_DATA_ERROR
-    assert "dirgof: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dirgof: error:" in err
+    assert "--seed" not in extra or "argument --seed:" in err
     assert not out.exists()
+
+
+def test_negative_seed_is_a_data_error(tmp_path, capsys):
+    """A negative seed exits 2 naming --seed from every command, flag or file line."""
+    data, cfgfile, out = tmp_path / "s2.csv", tmp_path / "seed.cfg", tmp_path / "o"
+    write_sample_csv(data, n=30)
+    cfgfile.write_text("seed = -1\n")
+    qq = ["--command", "qqcheck", "--scenario", "QQ", "--n", "30", "--M", "2", "--h", "0.5"]
+    for args in (
+        ["--command", "test", "--data", str(data), "--h", "0.5", "--B", "20", "--seed", "-1"],
+        [*qq, "--seed", "-1"],
+        [*qq, "--config", str(cfgfile)],
+    ):
+        assert run_main(*args, "--out", str(out)) == cli.EXIT_DATA_ERROR, args
+        assert "dirgof: error: argument --seed:" in capsys.readouterr().err, args
+        assert not out.exists()

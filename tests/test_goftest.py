@@ -198,9 +198,10 @@ def test_node_factor_is_the_kernel_density_estimate(rng):
 
 
 def test_test_call_peak_memory_near_one_rows_array():
-    """A degree-1 test at q=3 keeps the rows as its only (m, n) array: its
-    traced peak stays near m n doubles, where a build of the whole kernel
-    matrix, gap block and scaled Gram root at once reaches about 3 m n."""
+    """A degree-1 test at q=3 never holds several (m, n) arrays at once: its
+    traced peak stays below 1.5 m n doubles, where a build of the whole
+    kernel matrix, gap block and scaled Gram root at once reaches about
+    3 m n.  The test below holds the streamed rows to a tighter bound."""
     rng = np.random.default_rng(11)
     m, n = 12_000, 150
     predictors = sample_uniform(3, n, rng)
