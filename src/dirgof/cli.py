@@ -219,6 +219,8 @@ def _validate(cfg: dict) -> dict:
     else:
         if cfg["scenario"] is None:
             raise DataError(f"{cfg['command']} needs --scenario")
+    if cfg["local_alt"] and cfg["command"] != "power":
+        raise DataError(f"--local-alt applies to power only, not {cfg['command']}")
     if cfg["command"] in ("trace", "power") and cfg["h_grid"] is None:
         # default grid per the suite conventions: 20 log-spaced bandwidths
         cfg["h_grid"] = ",".join(f"{v:.6g}" for v in np.geomspace(0.1, 1.5, 20))
@@ -389,7 +391,7 @@ def cmd_trace(cfg: dict, under_null: bool) -> int:
             seed=cfg["seed"],
             degree=cfg["p"],
             under_null=under_null,
-            local_alternative=cfg["local_alt"] and not under_null,
+            local_alternative=cfg["local_alt"],
             quad_resolution=cfg["quad_res"],
             workers=cfg["workers"],
         )

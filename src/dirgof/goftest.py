@@ -10,9 +10,9 @@ bootstrap replicates at once.  The statistic is a quadratic form in the
 residuals whose Gram matrix is a sum over nodes, so the rows are built one
 slice of ``GRAM_SLICE`` nodes at a time (per block of ``locreg.NODE_BLOCK``)
 into one reused (GRAM_SLICE, n) buffer and folded into the statistic as each
-slice is built: no test call or trace bandwidth holds the (m, n) rows, and a
-trace adds only its cached chordal gaps.  ``node_cache`` collects the same
-slices into the rows for callers that want them.
+slice is built: no test call or trace bandwidth holds an (m, n) array, and
+each block's kernel values come straight from its nodes.  ``node_cache``
+collects the same slices into the rows for callers that want them.
 
 Calibration follows a residual wild bootstrap with golden-section
 multipliers: resampled responses are the parametric fit plus residuals
@@ -117,20 +117,19 @@ class NodeCache:
     empty_count: int
 
 
-def node_cache(predictors, cfg: GofConfig, gaps=None) -> NodeCache:
-    """Weight rows and the density/weight/quadrature factor at every node:
-    the slices of ``_node_slices`` collected into one (m, n) array.  ``gaps``
-    as in ``locreg.kernel_weight_matrix``.  A node with no kernel mass (f̂ = 0,
-    a zero row) is counted; only a rule of such nodes raises."""
+def node_cache(predictors, cfg: GofConfig) -> NodeCache:
+    """Weight rows and the density/weight/quadrature factor at every node, the
+    slices of ``_node_slices`` in one (m, n) array.  A node with no kernel
+    mass (f̂ = 0, a zero row) is counted; only a rule of such nodes raises."""
     m = cfg.quadrature.node_count
     rows, node_factor = np.empty((m, len(predictors))), np.empty(m)
     flags, means = np.empty(m, dtype=bool), np.empty(m)
-    for part, part_rows, factor in _node_slices(predictors, cfg, gaps, flags, means):
+    for part, part_rows, factor in _node_slices(predictors, cfg, flags, means):
         rows[part], node_factor[part] = part_rows, factor
     return NodeCache(rows, node_factor, regularized=flags, empty_count=int((means == 0).sum()))
 
 
-def _node_slices(predictors, cfg: GofConfig, gaps, flags, means):
+def _node_slices(predictors, cfg: GofConfig, flags, means):
     """(slice, weight rows, node factor) for each slice of at most
     ``GRAM_SLICE`` nodes, in order.  The rows are built per ``locreg.NODE_BLOCK``
     block into one reused buffer, so they last until the next slice is drawn
@@ -151,9 +150,7 @@ def _node_slices(predictors, cfg: GofConfig, gaps, flags, means):
         rows = buffer[: len(nodes[part])]
         for block in locreg.node_blocks(len(rows)):
             at = slice(part.start + block.start, part.start + block.stop)
-            raw = locreg.kernel_weight_matrix(
-                nodes[at], predictors, cfg.fit, gaps=None if gaps is None else gaps[at]
-            )
+            raw = locreg.kernel_weight_matrix(nodes[at], predictors, cfg.fit)
             means[at] = raw.mean(axis=1)
             flags[at] = locreg.weight_rows(
                 nodes[at], predictors, cfg.fit, raw=raw, out=rows[block]
@@ -199,15 +196,13 @@ def statistic_from_residuals(cache: NodeCache, residuals) -> np.ndarray | float:
     return _quadratic_form(slices, m, residuals)
 
 
-def streamed_statistic(
-    predictors, cfg: GofConfig, residuals, gaps=None
-) -> tuple[np.ndarray | float, int, int]:
-    """``statistic_from_residuals(node_cache(predictors, cfg, gaps), residuals)``
+def streamed_statistic(predictors, cfg: GofConfig, residuals) -> tuple[np.ndarray | float, int, int]:
+    """``statistic_from_residuals(node_cache(predictors, cfg), residuals)``
     and the counts of regularized and empty nodes, built one slice at a time,
     so that no (m, n) array of rows exists, only one (GRAM_SLICE, n) buffer."""
     m = cfg.quadrature.node_count
     flags, means = np.empty(m, dtype=bool), np.empty(m)
-    slices = _node_slices(predictors, cfg, gaps, flags, means)
+    slices = _node_slices(predictors, cfg, flags, means)
     values = _quadratic_form(slices, m, residuals)
     return values, int(flags.sum()), int((means == 0).sum())
 

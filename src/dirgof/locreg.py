@@ -77,12 +77,12 @@ def kernel_weights(x, predictors, cfg: LocalFitConfig) -> np.ndarray:
     return kernel_weight_matrix(np.asarray(x, dtype=float)[None], predictors, cfg)[0]
 
 
-def kernel_weight_matrix(nodes, predictors, cfg: LocalFitConfig, gaps=None) -> np.ndarray:
-    """Raw kernel values between evaluation points (rows) and the sample;
-    ``gaps`` may carry the h-free chordal gaps ``1 - nodes @ predictors.T``."""
-    if gaps is None:
-        gaps = 1.0 - np.asarray(nodes, dtype=float) @ np.asarray(predictors, dtype=float).T
-    w = cfg.kernel(gaps / cfg.bandwidth**2)
+def kernel_weight_matrix(nodes, predictors, cfg: LocalFitConfig) -> np.ndarray:
+    """Raw kernel values between evaluation points (rows) and the sample; the
+    scaled gaps ``(1 - nodes @ predictors.T) / h^2`` are formed in place."""
+    gaps = np.asarray(nodes, dtype=float) @ np.asarray(predictors, dtype=float).T
+    np.subtract(1.0, gaps, out=gaps)
+    w = cfg.kernel(np.divide(gaps, cfg.bandwidth**2, out=gaps))
     w[w < WEIGHT_FLOOR] = 0.0
     return w
 

@@ -241,12 +241,9 @@ def _trial_p_values(
     for i, h in enumerate(h_grid):
         fit = LocalFitConfig(degree=degree, bandwidth=float(h))
         rule = quad_resolution or goftest.default_resolution(scenario.q, fit)
-        # the chordal gaps do not depend on h: one (m, n) block serves each
-        # rule, and the sorted grid meets each rule's bandwidths in one run
+        # the sorted grid meets each rule's bandwidths in one run: build it once
         if rule != resolution:
-            resolution, gaps = rule, None  # drop the old block before the new one
-            quadrature = goftest.default_quadrature(scenario.q, resolution, seed=seed)
-            gaps = 1.0 - quadrature.nodes @ predictors.T
+            resolution, quadrature = rule, goftest.default_quadrature(scenario.q, rule, seed=seed)
         cfg = goftest.GofConfig(
             fit=fit,
             quadrature=quadrature,
@@ -260,7 +257,7 @@ def _trial_p_values(
                 drift = local_alternative_scale(n, h, scenario.q) * scenario.deviation_coef
                 y = responses + drift * _DEVIATIONS[scenario.deviation](predictors)
             _, residuals, _ = goftest.null_bootstrap(predictors, y, scenario.family, cfg, multipliers)
-        values = goftest.streamed_statistic(predictors, cfg, residuals, gaps)[0]
+        values = goftest.streamed_statistic(predictors, cfg, residuals)[0]
         out[i] = np.mean(values[0] <= values[1:])
     return out
 
@@ -283,17 +280,20 @@ def significance_trace(
 
     Each trial reuses its generated sample, its multiplier block and its
     null bootstrap (null fit and refits) across the whole bandwidth grid;
-    under ``local_alternative`` the responses move with h, so the null
-    bootstrap reruns per h.  ``quad_resolution`` pins one quadrature rule
-    for the grid; by default ``goftest.default_resolution`` sizes it per h.
-    Trials are independent jobs over seeded substreams, so the result does
-    not depend on the worker count.
+    under ``local_alternative``, which needs ``under_null=False``, the
+    responses move with h, so the null bootstrap reruns per h.
+    ``quad_resolution`` pins one quadrature rule for the grid; by default
+    ``goftest.default_resolution`` sizes it per h.  Trials are independent
+    jobs over seeded substreams, so the result does not depend on the
+    worker count.
     """
     h_grid = np.asarray(sorted(float(h) for h in h_grid))
     if h_grid.size == 0 or trials < 1 or bootstrap < 1:
         raise ValueError("need a nonempty grid and trials, bootstrap >= 1")
     if np.any(np.diff(h_grid) <= 0) or not np.all((h_grid > 0) & np.isfinite(h_grid)):
         raise ValueError("bandwidth grid must be finite and positive without duplicates")
+    if local_alternative and under_null:
+        raise ValueError("a local alternative drifts the responses: it needs under_null=False")
     if (local_alternative or not under_null) and scenario.deviation is None:
         raise ValueError(f"scenario {scenario.id} has no deviation to switch on")
     alphas = np.asarray(sorted(float(a) for a in alphas))

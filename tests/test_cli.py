@@ -478,11 +478,13 @@ def test_qqcheck_argument_errors_are_data_errors(tmp_path, capsys, extra):
         ["--h-grid", "0.3", "--alpha-list", "1.5"],
         ["--h-grid", "0.3", "--alpha-list", "-2"],
         ["--h-grid", "0.3", "--alpha-list", "0.05,0.05"],
+        ["--local-alt"],
     ],
 )
 def test_trace_argument_errors_are_data_errors(tmp_path, capsys, extra):
     """Grids, scenarios, sample sizes and significance levels that
-    ``simsuite.significance_trace`` refuses, and negative seeds, exit 2."""
+    ``simsuite.significance_trace`` refuses, negative seeds and --local-alt
+    outside power exit 2."""
     out = tmp_path / "t.csv"
     rc = run_main("--command", "trace", "--scenario", "S1", "--q", "1", "--n", "30",
                   "--M", "2", "--B", "5", *extra, "--out", str(out))
@@ -490,6 +492,7 @@ def test_trace_argument_errors_are_data_errors(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert "dirgof: error:" in err
     assert "--seed" not in extra or "argument --seed:" in err
+    assert "--local-alt" not in extra or "--local-alt" in err
     assert not out.exists()
 
 

@@ -110,9 +110,8 @@ def test_gram_and_direct_forms_agree(n, r, degree, weight_fn, rng):
 @pytest.mark.parametrize(
     "weight_fn", [None, lambda nodes: 1.0 + nodes[:, 0] ** 2], ids=["unweighted", "weighted"]
 )
-@pytest.mark.parametrize("with_gaps", [False, True], ids=["products", "gaps"])
 @pytest.mark.parametrize("degree", [0, 1])
-def test_blocked_node_cache_matches_one_shot_build(degree, with_gaps, weight_fn, rng):
+def test_blocked_node_cache_matches_one_shot_build(degree, weight_fn, rng):
     """node_cache walks the 72 x 72 nodes of a q=2 grid in blocks of NODE_BLOCK
     (10.1 blocks) and sums the Gram matrix over slices of GRAM_SLICE (2 slices);
     the reference builds each (m, n) array at once."""
@@ -125,22 +124,17 @@ def test_blocked_node_cache_matches_one_shot_build(degree, with_gaps, weight_fn,
     nodes = cfg.quadrature.nodes
     m = len(nodes)
     assert m % locreg.NODE_BLOCK and locreg.NODE_BLOCK < goftest.GRAM_SLICE < m
-    gaps = 1.0 - nodes @ predictors.T if with_gaps else None
-    cache = goftest.node_cache(predictors, cfg, gaps)
+    cache = goftest.node_cache(predictors, cfg)
 
-    raw = locreg.kernel_weight_matrix(nodes, predictors, cfg.fit, gaps=gaps)
+    raw = locreg.kernel_weight_matrix(nodes, predictors, cfg.fit)
     rows, flags = locreg.weight_rows(nodes, predictors, cfg.fit, raw=raw)
     wvals = np.ones(m) if weight_fn is None else weight_fn(nodes)
     node_factor = cfg.quadrature.weights * (
         normalizing_constant(VON_MISES, 2, cfg.fit.bandwidth) * raw.mean(axis=1)
     ) * wvals
     np.testing.assert_array_equal(cache.regularized, flags)
-    if with_gaps:
-        np.testing.assert_array_equal(cache.rows, rows)
-        np.testing.assert_array_equal(cache.node_factor, node_factor)
-    else:
-        np.testing.assert_allclose(cache.rows, rows, rtol=1e-13, atol=1e-13 * np.abs(rows).max())
-        np.testing.assert_allclose(cache.node_factor, node_factor, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(cache.rows, rows, rtol=1e-13, atol=1e-13 * np.abs(rows).max())
+    np.testing.assert_allclose(cache.node_factor, node_factor, rtol=1e-13, atol=0)
 
     residuals = rng.standard_normal((300, 80))
     root = rows * np.sqrt(node_factor)[:, None]
@@ -245,10 +239,9 @@ def test_streamed_test_call_peaks_below_half_a_rows_array():
 @pytest.mark.parametrize(
     "weight_fn", [None, lambda nodes: 1.0 + nodes[:, 0] ** 2], ids=["unweighted", "weighted"]
 )
-@pytest.mark.parametrize("with_gaps", [False, True], ids=["products", "gaps"])
 @pytest.mark.parametrize("degree", [0, 1])
 @pytest.mark.parametrize("q, resolution", [(1, None), (2, 72), (3, 4500)])
-def test_streamed_statistic_matches_the_node_cache(q, resolution, degree, with_gaps, weight_fn, rng):
+def test_streamed_statistic_matches_the_node_cache(q, resolution, degree, weight_fn, rng):
     """The streamed statistic equals statistic_from_residuals(node_cache(...))
     bit for bit in its Gram (100 rows), direct (10 rows) and one-row forms,
     with the same counts; on 256, 5184 (72 x 72) and 4500 nodes.  Against the
@@ -263,11 +256,10 @@ def test_streamed_statistic_matches_the_node_cache(q, resolution, degree, with_g
         weight_fn=weight_fn,
     )
     m = cfg.quadrature.node_count
-    gaps = 1.0 - cfg.quadrature.nodes @ predictors.T if with_gaps else None
-    cache = goftest.node_cache(predictors, cfg, gaps)
+    cache = goftest.node_cache(predictors, cfg)
     for r in (100, 10, None):
         residuals = rng.standard_normal(n if r is None else (r, n))
-        values, regularized, empty = goftest.streamed_statistic(predictors, cfg, residuals, gaps)
+        values, regularized, empty = goftest.streamed_statistic(predictors, cfg, residuals)
         expected = goftest.statistic_from_residuals(cache, residuals)
         assert type(values) is type(expected)
         np.testing.assert_array_equal(values, expected)

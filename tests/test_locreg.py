@@ -353,14 +353,16 @@ def test_weight_rows_match_per_node_least_squares(q, degree, rng):
     assert np.max(np.abs(rows - ref_rows) / scale) < 1e-10
 
 
-def test_kernel_matrix_from_cached_gaps_is_bit_identical(rng):
+def test_in_place_kernel_matrix_is_bit_identical_to_the_formula(rng):
+    """The gaps are scaled in place on the product's array: the same IEEE
+    operations as L((1 - nodes @ X^T) / h^2), floored at WEIGHT_FLOOR."""
     predictors = sample_uniform(2, 120, rng)
     nodes = sample_uniform(2, 300, rng)
-    gaps = 1.0 - nodes @ predictors.T
     for h in np.geomspace(0.04, 1.5, 20):
         cfg = locreg.LocalFitConfig(degree=0, bandwidth=float(h))
-        cached = locreg.kernel_weight_matrix(nodes, predictors, cfg, gaps=gaps)
-        assert np.array_equal(cached, locreg.kernel_weight_matrix(nodes, predictors, cfg))
+        expected = cfg.kernel((1.0 - nodes @ predictors.T) / h**2)
+        expected[expected < locreg.WEIGHT_FLOOR] = 0.0
+        assert np.array_equal(locreg.kernel_weight_matrix(nodes, predictors, cfg), expected)
 
 
 def test_fallback_rows_sum_to_one_where_kernel_weights_sit_at_the_floor():
@@ -560,9 +562,8 @@ def test_stacked_rows_on_degenerate_designs(q, degree, h, log_spread, extra, cop
     predictors /= np.linalg.norm(predictors, axis=1, keepdims=True)
     predictors[n - copies:] = predictors[0]
     quadrature = goftest.default_quadrature(q, PROPERTY_RULES[q])
-    gaps = 1.0 - quadrature.nodes @ predictors.T
     cfg = locreg.LocalFitConfig(degree, h)
-    raw = locreg.kernel_weight_matrix(quadrature.nodes, predictors, cfg, gaps=gaps)
+    raw = locreg.kernel_weight_matrix(quadrature.nodes, predictors, cfg)
     rows, flags = locreg.weight_rows(quadrature.nodes, predictors, cfg, raw=raw)
     empty = ~raw.any(axis=1)
     sums = rows.sum(axis=1)
@@ -582,9 +583,9 @@ def test_stacked_rows_on_degenerate_designs(q, degree, h, log_spread, extra, cop
     gof = goftest.GofConfig(fit=cfg, quadrature=quadrature)
     if empty.all():
         with pytest.raises(locreg.SingularGramError):
-            goftest.node_cache(predictors, gof, gaps)
+            goftest.node_cache(predictors, gof)
         return
-    cache = goftest.node_cache(predictors, gof, gaps)
+    cache = goftest.node_cache(predictors, gof)
     assert np.array_equal(cache.rows, rows) and np.array_equal(cache.regularized, flags)
     assert cache.empty_count == empty.sum() and not np.any(cache.node_factor[empty])
 

@@ -142,6 +142,14 @@ def test_local_alternative_trace_runs():
     assert result.p_values.shape == (2, 1)
 
 
+def test_local_alternative_under_the_null_is_refused():
+    with pytest.raises(ValueError, match="under_null=False"):
+        simsuite.significance_trace(
+            simsuite.make_scenario("S1", 1), n=40, h_grid=[0.5], trials=1, bootstrap=5,
+            under_null=True, local_alternative=True,
+        )
+
+
 @pytest.mark.parametrize(
     "under_null, local_alternative, refits_per_trial",
     [(True, False, 1), (False, False, 1), (False, True, 3)],
@@ -213,9 +221,9 @@ def _record_rules(monkeypatch):
     seen = {"cache": [], "built": []}
     streamed, default_quadrature = goftest.streamed_statistic, goftest.default_quadrature
 
-    def recording_statistic(predictors, cfg, residuals, gaps=None):
+    def recording_statistic(predictors, cfg, residuals):
         seen["cache"].append(cfg.quadrature.node_count)
-        return streamed(predictors, cfg, residuals, gaps)
+        return streamed(predictors, cfg, residuals)
 
     def recording_rule(*args, **kwargs):
         rule = default_quadrature(*args, **kwargs)
@@ -236,8 +244,8 @@ def _record_rules(monkeypatch):
     ],
 )
 def test_trace_builds_one_rule_per_tier(monkeypatch, degree, quad_res, counts):
-    """Each bandwidth sees its tier's rule, and a trial builds a rule and its
-    gaps once per tier; ``quad_resolution`` pins one rule for every h."""
+    """Each bandwidth sees its tier's rule, and a trial builds each rule once
+    per tier; ``quad_resolution`` pins one rule for every h."""
     seen = _record_rules(monkeypatch)
     simsuite.significance_trace(
         simsuite.make_scenario("S1", 2), n=30, h_grid=[1.5, 0.3, 0.7, 0.9, 0.5], trials=2,
@@ -248,11 +256,11 @@ def test_trace_builds_one_rule_per_tier(monkeypatch, degree, quad_res, counts):
 
 
 @pytest.mark.parametrize("degree", [0, 1])
-def test_trace_bandwidth_peaks_near_its_gaps_and_one_rows_array(degree):
-    """A q=2 trace trial on a 64 x 64 rule (m = GRAM_SLICE nodes) holds its
-    (m, n) chordal gaps and one (m, n) slice buffer, scaled in place for the
-    Gram matrix, plus a few (NODE_BLOCK, n) kernel-block temporaries; a
-    scaled copy of the rows would add a third (m, n) array."""
+def test_trace_bandwidth_peaks_near_one_rows_array(degree):
+    """A q=2 trace trial on a 64 x 64 rule (m = GRAM_SLICE nodes) holds one
+    (m, n) slice buffer, scaled in place for the Gram matrix, plus a few
+    (NODE_BLOCK, n) kernel-block temporaries; cached chordal gaps or a
+    scaled copy of the rows would each add a second (m, n) array."""
     n, m = 200, 64 * 64
     kw = dict(n=n, h_grid=[0.3, 0.6], trials=1, bootstrap=199, degree=degree, quad_resolution=64)
     simsuite.significance_trace(simsuite.make_scenario("S1", 2), **kw)  # warm the caches
@@ -263,7 +271,7 @@ def test_trace_bandwidth_peaks_near_its_gaps_and_one_rows_array(degree):
     finally:
         tracemalloc.stop()
     assert m == goftest.GRAM_SLICE
-    assert peak < (2 * m + 6 * locreg.NODE_BLOCK) * n * 8, peak / (m * n * 8)
+    assert peak < (m + 6 * locreg.NODE_BLOCK) * n * 8, peak / (m * n * 8)
 
 
 def test_q2_trace_p_values_match_the_48_rule():
