@@ -18,6 +18,10 @@ from .kernels import ive
 from .sphere import projection_basis, sample_uniform, surface_area, unit_vector
 
 _T_GRID_SIZE = 4096
+# the largest concentration the grid inverse CDF samples: up to it the bias of
+# 1 - E[mu.X] stays below 1 % at q = 1-3 (0.75 % at q = 3, 400 000 draws),
+# and it grows fast beyond (1.3 % at 300, 7.8 % at 1000)
+MAX_SAMPLED_KAPPA = 200.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +138,11 @@ def density_sample(model: DensityModel, n: int, rng: np.random.Generator) -> np.
     """Draw n points from the mixture, deterministic for a given generator."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
+    if np.any(model.kappas > MAX_SAMPLED_KAPPA):
+        raise ValueError(
+            f"concentration {model.kappas.max():g} is above {MAX_SAMPLED_KAPPA:g}, "
+            "the largest the sampler resolves"
+        )
     if model.kind == "uniform":
         return sample_uniform(model.q, n, rng)
     counts = rng.multinomial(n, model.weights)

@@ -34,6 +34,10 @@ _RANK_TOL = 1e-10
 MOMENT_GATE = 1e-11
 # nodes per stacked degree-1 factorization; bounds its memory at large m
 NODE_BLOCK = 512
+# admissible bandwidths: h^2 and 1/h^2 stay within 1e±300, so the kernel's
+# (1 - x.X)/h^2 and the von Mises normalizer's 2π/h^2 stay finite and its
+# ive(1/h^2) positive
+BANDWIDTH_RANGE = (1e-150, 1e150)
 
 
 def node_blocks(count: int, size: int = NODE_BLOCK) -> list[slice]:
@@ -56,10 +60,9 @@ class LocalFitConfig:
     def __post_init__(self):
         if self.degree not in (0, 1):
             raise ValueError(f"degree must be 0 or 1, got {self.degree}")
-        if not 0.0 < self.bandwidth < np.inf:
-            raise ValueError(
-                f"bandwidth must be finite and positive, got {self.bandwidth}"
-            )
+        low, high = BANDWIDTH_RANGE
+        if not low <= self.bandwidth <= high:
+            raise ValueError(f"bandwidth must lie in [{low:g}, {high:g}], got {self.bandwidth}")
 
 
 @dataclass

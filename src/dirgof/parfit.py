@@ -198,15 +198,18 @@ def predict_batch(family: ParametricFamily, theta, points) -> np.ndarray:
     return np.asarray(family.predict(np.asarray(theta, dtype=float), points), dtype=float)
 
 
-def _design_qr(family, points):
-    design = family.design(np.atleast_2d(points))
+def _closed_form(family, points, ys):
+    """(thetas, residuals) of a linear-in-theta family for each row of the
+    (R, n) response stack ``ys``, over one QR of the design."""
+    design = family.design(points)
     if np.linalg.matrix_rank(design) < family.dim_theta:
         raise RankDeficientError(
             f"design of family {family.kind!r} is rank deficient "
             f"({points.shape[0]} rows, {family.dim_theta} parameters)"
         )
     q_mat, r_mat = np.linalg.qr(design)
-    return design, q_mat, r_mat
+    thetas = np.linalg.solve(r_mat, q_mat.T @ ys.T).T
+    return thetas, ys - thetas @ design.T
 
 
 def _grid_init_damped_sine(family, points, responses):
@@ -315,16 +318,9 @@ def fit(family: ParametricFamily, points, responses, theta_init=None) -> ThetaEs
             f"need n >= {family.dim_theta} observations, got {points.shape[0]}"
         )
     if family.design is not None:
-        design, q_mat, r_mat = _design_qr(family, points)
-        theta = np.linalg.solve(r_mat, q_mat.T @ responses)
-        resid = responses - design @ theta
-        return ThetaEstimate(
-            theta=theta,
-            residuals=resid,
-            converged=True,
-            iterations=0,
-            objective=float(resid @ resid),
-        )
+        thetas, residuals = _closed_form(family, points, responses[None])
+        resid = residuals[0]
+        return ThetaEstimate(thetas[0], resid, True, 0, float(resid @ resid))
     seeds = []
     if theta_init is not None:
         theta_init = np.asarray(theta_init, dtype=float)
@@ -362,9 +358,7 @@ def fit_batch(family: ParametricFamily, points, response_matrix):
             f"response block has {ys.shape[1]} columns but there are {points.shape[0]} points"
         )
     if family.design is not None:
-        design, q_mat, r_mat = _design_qr(family, points)
-        thetas = np.linalg.solve(r_mat, q_mat.T @ ys.T).T
-        residuals = ys - thetas @ design.T
+        thetas, residuals = _closed_form(family, points, ys)
         return thetas, residuals, np.ones(ys.shape[0], dtype=bool)
     warm = fit(family, points, ys.mean(axis=0)).theta
     est = _levenberg_marquardt(family, points, ys, warm)

@@ -152,17 +152,15 @@ def generate(
     n: int,
     rng: np.random.Generator,
     under_null: bool = True,
-    deviation_scale: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (predictors, responses); the alternative adds the scaled deviation."""
+    """Draw (predictors, responses); the alternative adds the deviation
+    scaled by the scenario's ``deviation_coef``."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     predictors = density.density_sample(scenario.design, n, rng)
     mean = parfit.predict_batch(scenario.family, scenario.theta0, predictors)
-    if deviation_scale is None:
-        deviation_scale = 0.0 if under_null else scenario.deviation_coef
-    if deviation_scale != 0.0 and scenario.deviation is not None:
-        mean = mean + deviation_scale * _DEVIATIONS[scenario.deviation](predictors)
+    if not under_null and scenario.deviation_coef != 0.0 and scenario.deviation is not None:
+        mean = mean + scenario.deviation_coef * _DEVIATIONS[scenario.deviation](predictors)
     noise = scenario.sigma(predictors) * rng.standard_normal(n)
     return predictors, mean + noise
 
@@ -290,8 +288,10 @@ def significance_trace(
     h_grid = np.asarray(sorted(float(h) for h in h_grid))
     if h_grid.size == 0 or trials < 1 or bootstrap < 1:
         raise ValueError("need a nonempty grid and trials, bootstrap >= 1")
-    if np.any(np.diff(h_grid) <= 0) or not np.all((h_grid > 0) & np.isfinite(h_grid)):
-        raise ValueError("bandwidth grid must be finite and positive without duplicates")
+    if np.any(np.diff(h_grid) <= 0):
+        raise ValueError("bandwidth grid has duplicates")
+    for h in h_grid:  # refuses a bandwidth out of range before any trial runs
+        LocalFitConfig(degree=degree, bandwidth=h)
     if local_alternative and under_null:
         raise ValueError("a local alternative drifts the responses: it needs under_null=False")
     if (local_alternative or not under_null) and scenario.deviation is None:

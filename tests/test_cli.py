@@ -510,3 +510,86 @@ def test_negative_seed_is_a_data_error(tmp_path, capsys):
         assert run_main(*args, "--out", str(out)) == cli.EXIT_DATA_ERROR, args
         assert "dirgof: error: argument --seed:" in capsys.readouterr().err, args
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["test", "trace", "qqcheck"])
+def test_bandwidths_out_of_range_are_data_errors(tmp_path, capsys, command):
+    """Bandwidths whose square overflows or underflows exit 2 from every
+    command, while the edges of the range still run; a noise variance too
+    large to square is a numeric failure."""
+    data, out = tmp_path / "d.csv", tmp_path / "o"
+    write_sample_csv(data, n=30)
+    base, flag = {
+        "test": (["--data", str(data), "--B", "5"], "--h"),
+        "trace": (["--scenario", "S1", "--n", "30", "--M", "2", "--B", "5"], "--h-grid"),
+        "qqcheck": (["--scenario", "QQ", "--n", "30", "--M", "2"], "--h"),
+    }[command]
+    base = ["--command", command, *base, "--out", str(out)]
+    for h in ("1e155", "1e200", "1e-154", "1e-200"):
+        assert run_main(*base, flag, h) == cli.EXIT_DATA_ERROR, h
+        assert f"bandwidth must lie in [1e-150, 1e+150], got {float(h)}" in capsys.readouterr().err
+        assert not out.exists()
+    assert run_main(*base, flag, "1e-150") == cli.EXIT_NUMERIC_ERROR
+    assert "all-zero kernel weights" in capsys.readouterr().err
+    assert run_main(*base, flag, "1e150") == 0
+    if command == "qqcheck":
+        out.unlink()
+        assert run_main(*base, "--h", "0.5", "--sigma2", "1e308") == cli.EXIT_NUMERIC_ERROR
+        assert "dirgof: numeric failure:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("test", ["--h", "0.5", "--B", "5"]),
+        ("trace", ["--scenario", "S1", "--h-grid", "0.5"]),
+        ("power", ["--scenario", "S1", "--h-grid", "0.5"]),
+        ("qqcheck", ["--scenario", "QQ", "--h", "0.5"]),
+    ],
+    ids=["test", "trace", "power", "qqcheck"],
+)
+def test_linalg_errors_are_numeric_failures(tmp_path, capsys, monkeypatch, command, extra):
+    """numpy's LinAlgError is a ValueError, yet it exits 3 from every command."""
+    from dirgof import goftest
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(goftest, "streamed_statistic", fail)
+    data, out = tmp_path / "d.csv", tmp_path / "o"
+    write_sample_csv(data, n=30)
+    rc = run_main("--command", command, "--data", str(data), "--n", "30", "--M", "2",
+                  "--B", "5", *extra, "--out", str(out))
+    assert rc == cli.EXIT_NUMERIC_ERROR
+    assert "dirgof: numeric failure: SVD did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--family", "linear"], "need n >= 3 observations, got 2"),
+        (["--family", "constant", "--p", "1"], "local linear fit needs n >= q+2 = 3, got 2"),
+    ],
+    ids=["null-fit", "local-linear"],
+)
+def test_samples_too_small_for_the_fit_name_the_rule(tmp_path, capsys, extra, message):
+    """The library's own size rules reach the user of ``test`` as data errors."""
+    data, out = tmp_path / "d.csv", tmp_path / "o.json"
+    write_sample_csv(data, n=2)
+    rc = run_main("--command", "test", "--data", str(data), "--h", "0.5", "--B", "5",
+                  *extra, "--out", str(out))
+    assert rc == cli.EXIT_DATA_ERROR
+    assert f"dirgof: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_design_too_concentrated_to_sample_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    rc = run_main("--command", "trace", "--scenario", "custom", "--q", "2", "--n", "20",
+                  "--family", "linear", "--theta0", "0,0,0,0", "--design", "1:1e4:0,0,1",
+                  "--M", "1", "--B", "5", "--h-grid", "0.5", "--out", str(out))
+    assert rc == cli.EXIT_DATA_ERROR
+    assert "concentration 10000 is above 200" in capsys.readouterr().err
+    assert not out.exists()

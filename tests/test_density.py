@@ -110,15 +110,28 @@ def test_uniform_sampler_matches_reference(rng):
     assert stats.ks_2samp(ours[:, 0], reference[:, 0]).pvalue > 0.01
 
 
-@pytest.mark.parametrize("q,kappa", [(1, 5.0), (2, 5.0), (3, 2.0)])
+@pytest.mark.parametrize(
+    "q,kappa",
+    [(1, 5.0), (2, 5.0), (3, 2.0), *((q, density.MAX_SAMPLED_KAPPA) for q in (1, 2, 3))],
+)
 def test_vmf_sampler_mean_resultant(q, kappa, rng):
+    """1 - E[mu.X] within 1 % of its exact value up to the largest
+    concentration the sampler takes, where the grid CDF's bias peaks."""
     mu = np.zeros(q + 1)
     mu[-1] = 1.0
-    sample = density.density_sample(density.vmf_model(mu, kappa), 10_000, rng)
+    sample = density.density_sample(density.vmf_model(mu, kappa), 400_000, rng)
     dots = sample @ mu
     d = q + 1
     expected = special.ive(d / 2.0, kappa) / special.ive(d / 2.0 - 1.0, kappa)
-    assert abs(dots.mean() - expected) < 3.0 * dots.std() / np.sqrt(len(dots))
+    assert abs((1.0 - dots.mean()) / (1.0 - expected) - 1.0) < 0.01
+
+
+def test_sampler_refuses_concentrations_past_the_bound(rng):
+    mu = np.array([0.0, 0.0, 1.0])
+    kappa = np.nextafter(density.MAX_SAMPLED_KAPPA, np.inf)
+    model = density.mixture_model([(mu, 1.0, 0.5), (-mu, kappa, 0.5)])
+    with pytest.raises(ValueError, match="above 200"):
+        density.density_sample(model, 10, rng)
 
 
 def test_antipodal_mixture_is_balanced(rng):
