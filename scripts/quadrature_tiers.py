@@ -41,11 +41,8 @@ def main() -> None:
                 rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
                 predictors, responses = simsuite.generate(scenario, n, rng)
                 multipliers = goftest.golden_section_draws((args.bootstrap, n), rng)
-                cfg = goftest.GofConfig(
-                    fit=LocalFitConfig(0, 1.0), quadrature=rules[48], bootstrap=args.bootstrap
-                )
                 _, residuals, _ = goftest.null_bootstrap(
-                    predictors, responses, scenario.family, cfg, multipliers
+                    predictors, responses, scenario.family, multipliers
                 )
                 for degree, h, r in cells:
                     fit = LocalFitConfig(degree, h)

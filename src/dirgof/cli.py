@@ -23,11 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import goftest, parfit, simsuite
+from .kernels import BandwidthOverflowError
 from .locreg import LocalFitConfig
 from .sphere import unit_rows
 
 EXIT_DATA_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
+# the flags behind the inputs whose derived constants leave the float range
+_OVERFLOW_CAUSES = {BandwidthOverflowError: " (set by --h or --h-grid)",
+                    simsuite.NoiseOverflowError: " (set by --sigma2 or --noise-sd)"}
 
 _FAMILY_BUILDERS = {
     "constant": lambda q, constraint: parfit.constant_family(),
@@ -135,7 +139,7 @@ def _build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     )
     parser.add_argument("--theta0", help="comma separated parameter for simple nulls")
     parser.add_argument(
-        "--sigma2", type=_number(float), default=0.5, help="noise variance for qqcheck"
+        "--sigma2", type=_number(float), help="noise variance (qqcheck --scenario QQ; default 0.5)"
     )
     parser.add_argument(
         "--local-alt", nargs="?", const=True, default=False, type=_yes_no,
@@ -220,6 +224,9 @@ def _validate(cfg: dict) -> dict:
         raise DataError(f"{cfg['command']} needs --h")
     if cfg["local_alt"] and cfg["command"] != "power":
         raise DataError(f"--local-alt applies to power only, not {cfg['command']}")
+    if cfg["sigma2"] is not None and (cfg["command"], cfg["scenario"]) != ("qqcheck", "QQ"):
+        hint = "; custom scenarios take --noise-sd" if cfg["scenario"] == "custom" else ""
+        raise DataError(f"--sigma2 applies to qqcheck --scenario QQ only{hint}")
     if cfg["command"] in ("trace", "power") and cfg["h_grid"] is None:
         # default grid per the suite conventions: 20 log-spaced bandwidths
         cfg["h_grid"] = ",".join(f"{v:.6g}" for v in np.geomspace(0.1, 1.5, 20))
@@ -241,12 +248,13 @@ def _read_data_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         )
     if len(rows) == 1:
         raise DataError(f"{path}: no data rows (1 header row, 0 data rows)")
+    for number, row in enumerate(rows[1:], 1):
+        if len(row) != len(header):
+            raise DataError(f"{path}: data row {number} has {len(row)} cells, not {len(header)}")
     try:
         body = np.array([[float(cell) for cell in row] for row in rows[1:]])
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric cell: {exc}") from exc
-    if body.shape[1] != len(header):
-        raise DataError(f"{path}: ragged rows")
     if not np.all(np.isfinite(body)):
         row, col = np.argwhere(~np.isfinite(body))[0]
         raise DataError(
@@ -389,7 +397,7 @@ def cmd_trace(cfg: dict, under_null: bool) -> int:
 
 def cmd_qqcheck(cfg: dict) -> int:
     scenario = _scenario_from_config(cfg)
-    if cfg["scenario"] == "QQ":
+    if cfg["sigma2"] is not None:  # _validate lets it through with QQ only
         if cfg["sigma2"] <= 0:
             raise DataError("sigma2 must be positive")
         scenario = dataclasses.replace(scenario, noise_sd=sqrt(cfg["sigma2"]))
@@ -435,7 +443,8 @@ def main(argv=None) -> int:
     # first: LinAlgError is a ValueError, and ArithmeticError covers the
     # OverflowError and ZeroDivisionError of Python float arithmetic
     except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"dirgof: numeric failure: {exc}", file=sys.stderr)
+        cause = _OVERFLOW_CAUSES.get(type(exc), "")
+        print(f"dirgof: numeric failure: {exc}{cause}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     except ValueError as exc:
         print(f"dirgof: error: {exc}", file=sys.stderr)

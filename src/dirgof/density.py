@@ -14,7 +14,7 @@ from math import pi
 
 import numpy as np
 
-from .kernels import ive
+from .kernels import scaled_vmf_normalizer
 from .sphere import projection_basis, sample_uniform, surface_area, unit_vector
 
 _T_GRID_SIZE = 4096
@@ -74,26 +74,16 @@ def mixture_model(components) -> DensityModel:
     )
 
 
-def _log_vmf_normalizer(dim: int, kappa: float) -> float:
-    """log C_dim(kappa) for the vMF density on the sphere in R^dim."""
-    order = dim / 2.0 - 1.0
-    if kappa < 1e-12:
-        return -np.log(surface_area(dim - 1))
-    return (
-        order * np.log(kappa)
-        - (dim / 2.0) * np.log(2.0 * pi)
-        - np.log(ive(order, kappa))
-        - kappa
-    )
-
-
 def density_eval(model: DensityModel, points) -> np.ndarray:
     """Evaluate the mixture density at one point or at stacked rows."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(pts.shape[0])
     for mu, kappa, weight in zip(model.means, model.kappas, model.weights):
-        log_c = _log_vmf_normalizer(model.q + 1, kappa)
-        out += weight * np.exp(log_c + kappa * (pts @ mu))
+        if kappa < 1e-12:
+            out += weight / surface_area(model.q)
+        else:  # C(κ) e^(κ x.μ) as e^κ C(κ) e^(κ (x.μ - 1)), finite at large κ
+            c = scaled_vmf_normalizer(model.q, kappa)
+            out += weight * c * np.exp(kappa * (pts @ mu - 1.0))
     if np.ndim(points) == 1:
         return out[0]
     return out

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 from typing import Callable
 
 import numpy as np
 
 from . import locreg, parfit
-from .kernels import kernel_constants, normalizing_constant
+from .kernels import BandwidthOverflowError, kernel_constants, normalizing_constant
 from .locreg import LocalFitConfig
 from .sphere import SphereQuadrature, build_quadrature
 
@@ -275,46 +275,37 @@ def _config_echo(cfg: GofConfig, n: int, q: int, family_kind: str) -> dict:
 
 
 def null_bootstrap(
-    predictors, responses, family: parfit.ParametricFamily, cfg: GofConfig, multipliers=None
+    predictors, responses, family: parfit.ParametricFamily, multipliers, theta0=None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Null fit and wild bootstrap refits: (theta_hat, residuals, failed refits).
 
-    ``residuals`` stacks the observed residuals (row 0) on the (bootstrap, n)
-    block of bootstrap residuals, so one statistic call evaluates both alike.
-    ``multipliers`` may carry a precomputed (bootstrap, n) block of
-    golden-section draws; the default draws them from the config seed.
-    Nothing here reads the bandwidth, so one call serves a whole grid.
+    ``multipliers`` is a (B >= 1, n) block of golden-section draws; a given
+    ``theta0`` is the simple null (no fit, no refits).  ``residuals`` stacks
+    the observed residuals (row 0) on the (B, n) bootstrap residuals, so one
+    statistic call evaluates both alike.  Nothing here reads the bandwidth.
     """
     predictors = np.asarray(predictors, dtype=float)
     responses = np.asarray(responses, dtype=float)
+    multipliers = np.asarray(multipliers, dtype=float)
     n = predictors.shape[0]
-    if cfg.hypothesis == "simple":
-        theta_hat = np.asarray(cfg.theta0, dtype=float)
+    if multipliers.ndim != 2 or multipliers.shape[0] < 1 or multipliers.shape[1] != n:
+        raise ValueError(f"multipliers must have shape (B >= 1, {n}), got {multipliers.shape}")
+    if theta0 is not None:
+        theta_hat = np.asarray(theta0, dtype=float)
     else:
         theta_hat = parfit.fit(family, predictors, responses).theta
     fitted = parfit.predict_batch(family, theta_hat, predictors)
     residuals = responses - fitted
-
-    if multipliers is None:
-        rng = np.random.default_rng(cfg.seed)
-        multipliers = golden_section_draws((cfg.bootstrap, n), rng)
-    else:
-        multipliers = np.asarray(multipliers, dtype=float)
-        if multipliers.shape != (cfg.bootstrap, n):
-            raise ValueError(
-                f"multipliers must have shape {(cfg.bootstrap, n)}, got {multipliers.shape}"
-            )
-
     star_responses = fitted[None, :] + residuals[None, :] * multipliers
     failed = 0
-    if cfg.hypothesis == "simple":
+    if theta0 is not None:
         star_residuals = star_responses - fitted[None, :]
     else:
         _, star_residuals, converged = parfit.fit_batch(family, predictors, star_responses)
         failed = int((~converged).sum())
-        if failed > MAX_FAILED_REPLICATE_FRACTION * cfg.bootstrap:
+        if failed > MAX_FAILED_REPLICATE_FRACTION * len(multipliers):
             raise RuntimeError(
-                f"{failed} of {cfg.bootstrap} bootstrap refits failed to converge"
+                f"{failed} of {len(multipliers)} bootstrap refits failed to converge"
             )
     return np.atleast_1d(theta_hat), np.vstack([residuals, star_residuals]), failed
 
@@ -327,7 +318,12 @@ def bootstrap_test(predictors, responses, family: parfit.ParametricFamily, cfg: 
     """
     predictors = np.asarray(predictors, dtype=float)
     n, dim = predictors.shape
-    theta_hat, residuals, failed = null_bootstrap(predictors, responses, family, cfg)
+    theta0 = cfg.theta0 if cfg.hypothesis == "simple" else None
+    # the block dies with null_bootstrap's frame, before the statistic runs
+    theta_hat, residuals, failed = null_bootstrap(
+        predictors, responses, family,
+        golden_section_draws((cfg.bootstrap, n), np.random.default_rng(cfg.seed)), theta0,
+    )
     values, regularized, empty = streamed_statistic(predictors, cfg, residuals)
     observed, replicate_stats = float(values[0]), values[1:]
     return GofResult(
@@ -354,7 +350,13 @@ def asymptotic_center_scale(
     if sigma2_integral <= 0 or asymptotic_variance <= 0:
         raise ValueError("integrals entering center and scale must be positive")
     consts = kernel_constants(fit_cfg.kernel, q)
-    center = consts.variance_factor * sigma2_integral / (n * fit_cfg.bandwidth**q)
+    h = fit_cfg.bandwidth
+    try:
+        center = consts.variance_factor * sigma2_integral / (n * h**q)
+    except ArithmeticError:  # h^q overflows, or underflows to 0
+        center = inf
+    if center == inf:
+        raise BandwidthOverflowError(f"h^q at q={q} leaves the float range for bandwidth {h:g}")
     return center, sqrt(2.0 * asymptotic_variance)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, gamma, pi, sqrt
+from math import exp, gamma, inf, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,10 @@ class QuadratureError(RuntimeError):
 
 class InadmissibleKernelError(ValueError):
     """Kernel profile violates nonnegativity or the declared decay bound."""
+
+
+class BandwidthOverflowError(OverflowError):
+    """A constant built from the bandwidth is out of float range at this q."""
 
 
 def _von_mises_profile(r):
@@ -200,16 +204,28 @@ def ive(order: float, x: float) -> float:
     return total / sqrt(2.0 * pi * x)
 
 
-def von_mises_normalizing_constant(q: int, h: float) -> float:
-    """Closed form of the normalizing constant for the exp(-r) profile.
-
-    This is the von Mises-Fisher normalizer at concentration 1/h^2, written
-    with the exponentially scaled Bessel function so it is stable for small
-    bandwidths.
-    """
-    kappa = 1.0 / h**2
+def scaled_vmf_normalizer(q: int, kappa: float) -> float:
+    """e^κ C_q(κ) = κ^ν / ((2π)^((q+1)/2) ive(ν, κ)), ν = (q-1)/2, for the
+    von Mises-Fisher normalizer C_q(κ) on the q-sphere, κ > 0; the scaled
+    Bessel function keeps it stable at large κ."""
     order = (q - 1) / 2.0
     return kappa**order / ((2.0 * pi) ** ((q + 1) / 2.0) * ive(order, kappa))
+
+
+def von_mises_normalizing_constant(q: int, h: float) -> float:
+    """Closed form of the normalizing constant for the exp(-r) profile, the
+    scaled von Mises-Fisher normalizer at concentration 1/h^2; raises
+    ``BandwidthOverflowError`` where that leaves the float range (small h
+    at q >= 3, large h at q >= 4)."""
+    try:
+        value = scaled_vmf_normalizer(q, 1.0 / h**2)
+    except ArithmeticError:  # κ^ν overflows, or κ^ν and ive both underflow
+        value = inf
+    if value == inf:
+        raise BandwidthOverflowError(
+            f"the von Mises kernel normalizer at q={q} leaves the float range for bandwidth {h:g}"
+        )
+    return value
 
 
 def _fold_pair_profile(kernel, s, t, theta_nodes, theta_weights, q):

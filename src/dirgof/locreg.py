@@ -35,8 +35,9 @@ MOMENT_GATE = 1e-11
 # nodes per stacked degree-1 factorization; bounds its memory at large m
 NODE_BLOCK = 512
 # admissible bandwidths: h^2 and 1/h^2 stay within 1e±300, so the kernel's
-# (1 - x.X)/h^2 and the von Mises normalizer's 2π/h^2 stay finite and its
-# ive(1/h^2) positive
+# (1 - x.X)/h^2 stays finite; the von Mises normalizer does so at q <= 2
+# only (at q = 3 it overflows below h ≈ 6.3e-104, and kernels raises
+# BandwidthOverflowError there)
 BANDWIDTH_RANGE = (1e-150, 1e150)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import partial
-from math import pi, sqrt
+from math import inf, pi, sqrt
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .locreg import LocalFitConfig
 from .sphere import surface_area
 
 SCENARIO_IDS = ("S1", "S2", "S3", "S4")
+
+
+class NoiseOverflowError(OverflowError):
+    """The noise variance's square is out of float range at this q."""
 
 
 def deviation_one(points) -> np.ndarray:
@@ -242,19 +246,14 @@ def _trial_p_values(
         # the sorted grid meets each rule's bandwidths in one run: build it once
         if rule != resolution:
             resolution, quadrature = rule, goftest.default_quadrature(scenario.q, rule, seed=seed)
-        cfg = goftest.GofConfig(
-            fit=fit,
-            quadrature=quadrature,
-            bootstrap=bootstrap,
-            seed=seed,
-        )
         # the null bootstrap does not read h; a local alternative's drift does
         if local_alternative or residuals is None:
             y = responses
             if local_alternative:
                 drift = local_alternative_scale(n, h, scenario.q) * scenario.deviation_coef
                 y = responses + drift * _DEVIATIONS[scenario.deviation](predictors)
-            _, residuals, _ = goftest.null_bootstrap(predictors, y, scenario.family, cfg, multipliers)
+            _, residuals, _ = goftest.null_bootstrap(predictors, y, scenario.family, multipliers)
+        cfg = goftest.GofConfig(fit, quadrature)
         values = goftest.streamed_statistic(predictors, cfg, residuals)[0]
         out[i] = np.mean(values[0] <= values[1:])
     return out
@@ -345,12 +344,7 @@ def _qq_trial(trial: int, scenario, n, h, degree, seed, quad_resolution) -> floa
     quadrature = goftest.default_quadrature(scenario.q, quad_resolution, seed=seed, fit=fit)
     predictors, responses = generate(scenario, n, rng, under_null=True)
     theta = parfit.fit(scenario.family, predictors, responses).theta
-    cfg = goftest.GofConfig(
-        fit=fit,
-        quadrature=quadrature,
-        bootstrap=1,
-        seed=seed,
-    )
+    cfg = goftest.GofConfig(fit, quadrature)
     return goftest.statistic(predictors, responses, scenario.family, theta, cfg)
 
 
@@ -371,9 +365,17 @@ def qq_experiment(
     """
     if scenario.noise != "hom":
         raise ValueError("the normality experiment needs a known constant variance")
-    sigma2 = scenario.noise_sd**2
     area = surface_area(scenario.q)
-    variance = gof_asymptotic_variance(VON_MISES, scenario.q, sigma2**2 * area)
+    try:
+        sigma2 = scenario.noise_sd**2
+        sigma4_area = sigma2**2 * area
+    except OverflowError:
+        sigma4_area = inf
+    if sigma4_area == inf:
+        raise NoiseOverflowError(
+            f"sigma^4 at q={scenario.q} leaves the float range for noise sd {scenario.noise_sd:g}"
+        )
+    variance = gof_asymptotic_variance(VON_MISES, scenario.q, sigma4_area)
     fit_cfg = LocalFitConfig(degree=degree, bandwidth=h)
     center, scale = goftest.asymptotic_center_scale(
         fit_cfg, scenario.q, n, sigma2 * area, variance

@@ -593,3 +593,115 @@ def test_design_too_concentrated_to_sample_is_a_data_error(tmp_path, capsys):
     assert rc == cli.EXIT_DATA_ERROR
     assert "concentration 10000 is above 200" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sigma2_applies_to_qqcheck_qq_only(tmp_path, capsys):
+    """--sigma2 sets the QQ noise variance, default 0.5 as the preset; any
+    other command or scenario refuses it rather than ignoring it."""
+    data, out = tmp_path / "d.csv", tmp_path / "o"
+    write_sample_csv(data, n=30)
+    qq = ["--command", "qqcheck", "--scenario", "QQ", "--q", "1", "--n", "40", "--M", "3",
+          "--h", "0.5"]
+    files = {}
+    for extra in ([], ["--sigma2", "0.5"], ["--sigma2", "2.0"]):
+        files[tuple(extra)] = tmp_path / f"qq{len(files)}.csv"
+        assert run_main(*qq, *extra, "--out", str(files[tuple(extra)])) == 0
+    assert files[()].read_bytes() == files["--sigma2", "0.5"].read_bytes()
+    assert files[()].read_bytes() != files["--sigma2", "2.0"].read_bytes()
+    custom = ["--scenario", "custom", "--family", "constant", "--theta0", "1", "--design", "M1"]
+    for args in (
+        ["--command", "qqcheck", "--scenario", "S3", "--q", "1", "--n", "40", "--M", "3",
+         "--h", "0.5"],
+        ["--command", "qqcheck", *custom, "--n", "40", "--M", "3", "--h", "0.5"],
+        ["--command", "test", "--data", str(data), "--h", "0.5", "--B", "5"],
+        ["--command", "trace", "--scenario", "QQ", "--n", "30", "--M", "1", "--B", "5",
+         "--h-grid", "0.5"],
+        ["--command", "power", *custom, "--n", "30", "--M", "1", "--B", "5", "--h-grid", "0.5"],
+    ):
+        assert run_main(*args, "--sigma2", "2.0", "--out", str(out)) == cli.EXIT_DATA_ERROR, args
+        err = capsys.readouterr().err
+        assert "--sigma2 applies to qqcheck --scenario QQ only" in err, args
+        assert ("--noise-sd" in err) == ("custom" in args), args
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, q, extra, words",
+    [
+        ("qqcheck", 1, ["--scenario", "QQ", "--h", "0.5", "--sigma2", "1e200"],
+         ["sigma^4", "--sigma2"]),
+        ("qqcheck", 3, ["--scenario", "QQ", "--h", "1e150"], ["h^q", "--h"]),
+        ("test", 3, ["--h", "1e-120"], ["kernel normalizer", "--h"]),
+        ("test", 4, ["--h", "1e-120"], ["kernel normalizer", "--h"]),
+        ("trace", 4, ["--scenario", "S1", "--h-grid", "1e140", "--workers", "2"],
+         ["kernel normalizer", "--h-grid"]),
+    ],
+    ids=["sigma4", "h-power", "normalizer-q3", "normalizer-q4", "normalizer-large-h"],
+)
+def test_overflows_inside_the_ranges_name_their_cause(tmp_path, capsys, command, q, extra, words):
+    """Flag values inside their ranges whose derived constants leave the
+    float range at this q exit 3 naming the quantity, the flag and q, with
+    no RuntimeWarning on the way."""
+    data, out = tmp_path / "d.csv", tmp_path / "o"
+    write_sample_csv(data, q=q, n=30)
+    rc = run_main("--command", command, "--data", str(data), "--q", str(q), "--n", "30",
+                  "--M", "2", "--B", "5", *extra, "--out", str(out))
+    assert rc == cli.EXIT_NUMERIC_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("dirgof: numeric failure:")
+    assert all(word in err for word in words) and f"q={q}" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, content, message",
+    [
+        (["--command", "trace", "--scenario", "S1", "--h-grid", "0.3,abc", "--out", "{out}"],
+         None, "bad h-grid: could not convert"),
+        (["--command", "trace", "--scenario", "S1", "--h-grid", ",", "--out", "{out}"],
+         None, "h-grid is empty"),
+        (["--command", "trace", "--scenario", "S1", "--h-grid", "0.3"], None, "--out is required"),
+        (["--command", "test", "--data", "{tmp}/none.csv", "--h", "0.5", "--out", "{out}"],
+         None, "data file not found"),
+        (["--command", "power", "--h-grid", "0.3", "--out", "{out}"],
+         None, "power needs --scenario"),
+        (["--command", "qqcheck", "--scenario", "QQ", "--out", "{out}"], None, "qqcheck needs --h"),
+        (["--command", "test", "--data", "{csv}", "--h", "0.5", "--out", "{out}"],
+         "x1,x2,y\n", "no data rows"),
+        (["--command", "test", "--data", "{csv}", "--h", "0.5", "--out", "{out}"],
+         "x1,x2,y\n1,0,abc\n", "non-numeric cell"),
+        (["--command", "test", "--data", "{csv}", "--h", "0.5", "--out", "{out}"],
+         "x1,x2,y\n1,0,2\n0,1\n1,0,3\n", "data row 2 has 2 cells, not 3"),
+        (["--command", "test", "--data", "{csv}", "--h", "0.5", "--out", "{out}"],
+         "x1,x2,y\n1,0,2,5\n0,1,3,6\n", "data row 1 has 4 cells, not 3"),
+        (["--command", "test", "--data", "{data}", "--family", "constrained-linear", "--h", "0.5",
+          "--out", "{out}"], None, "constrained-linear needs --constraint"),
+        (["--command", "test", "--data", "{data}", "--hypothesis", "simple", "--theta0", "1,2",
+          "--h", "0.5", "--out", "{out}"], None, "theta0 needs 3 entries, got 2"),
+        (["--command", "test", "--data", "{data}", "--q", "2", "--h", "0.5", "--out", "{out}"],
+         None, "--q 2 contradicts the 2 predictor columns"),
+        (["--command", "trace", "--scenario", "custom", "--family", "constant", "--theta0", "1",
+          "--design", "1:2", "--h-grid", "0.5", "--out", "{out}"],
+         None, "design component '1:2' is not 'weight:kappa:mu1,..,mud'"),
+        (["--command", "trace", "--scenario", "custom", "--family", "constant", "--theta0", "1",
+          "--design", "M1", "--noise-sd", "-1", "--h-grid", "0.5", "--out", "{out}"],
+         None, "noise-sd must be positive"),
+        (["--command", "qqcheck", "--scenario", "QQ", "--h", "0.5", "--sigma2", "0",
+          "--out", "{out}"], None, "sigma2 must be positive"),
+    ],
+    ids=["bad-list", "empty-list", "no-out", "no-file", "no-scenario", "no-h", "no-rows",
+         "non-numeric", "ragged", "all-wide", "no-constraint", "theta0-size", "q-mismatch",
+         "design-component", "noise-sd", "sigma2"],
+)
+def test_cli_refusals_name_the_input(tmp_path, capsys, args, content, message):
+    """Every input the CLI itself refuses exits 2 with its reason and
+    writes nothing."""
+    data, csv_path, out = tmp_path / "d.csv", tmp_path / "c.csv", tmp_path / "o"
+    write_sample_csv(data, n=30)
+    if content is not None:
+        csv_path.write_text(content)
+    paths = {"{out}": str(out), "{data}": str(data), "{csv}": str(csv_path)}
+    args = [paths.get(arg, arg.replace("{tmp}", str(tmp_path))) for arg in args]
+    assert run_main(*args, "--n", "30", "--M", "1", "--B", "5") == cli.EXIT_DATA_ERROR
+    assert f"dirgof: error: {message}" in capsys.readouterr().err.replace(f"{csv_path}: ", "")
+    assert not out.exists()

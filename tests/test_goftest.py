@@ -347,8 +347,8 @@ def test_tier_statistics_match_the_48_rule(scenario_id, h):
     fit = LocalFitConfig(degree=0, bandwidth=h)
     tier, fine = goftest.default_quadrature(2, fit=fit), goftest.default_quadrature(2, 48)
     assert tier.node_count < fine.node_count
-    cfg = goftest.GofConfig(fit=fit, quadrature=tier, bootstrap=40)
-    _, residuals, _ = goftest.null_bootstrap(predictors, responses, scenario.family, cfg)
+    draws = goftest.golden_section_draws((40, 30), np.random.default_rng(0))
+    _, residuals, _ = goftest.null_bootstrap(predictors, responses, scenario.family, draws)
     values = [
         goftest.statistic_from_residuals(
             goftest.node_cache(predictors, goftest.GofConfig(fit=fit, quadrature=rule)), residuals
@@ -428,13 +428,40 @@ def test_multiplier_block_shared_across_bandwidths(rng):
     p_values = []
     for h in (0.4, 0.8):
         cfg = make_cfg(h=h, bootstrap=80)
-        _, residuals, _ = goftest.null_bootstrap(predictors, responses, family, cfg, draws)
+        _, residuals, _ = goftest.null_bootstrap(predictors, responses, family, draws)
         values = goftest.statistic_from_residuals(goftest.node_cache(predictors, cfg), residuals)
         p_values.append(np.mean(values[0] <= values[1:]))
     assert all(0.0 <= p <= 1.0 for p in p_values)
     with pytest.raises(ValueError):
-        cfg = make_cfg(bootstrap=80)
-        goftest.null_bootstrap(predictors, responses, family, cfg, draws[:, :50])
+        goftest.null_bootstrap(predictors, responses, family, draws[:, :50])
+
+
+def test_null_bootstrap_takes_a_block_of_b_rows_by_n(rng):
+    """The multipliers are a (B >= 1, n) block: a vector, an empty block or
+    a block of another width is refused before any fit."""
+    predictors, responses = sample_constant_model(rng, n=30)
+    family = parfit.constant_family()
+    for shape in ((30,), (0, 30), (4, 29), (2, 4, 30)):
+        with pytest.raises(ValueError, match="multipliers must have shape"):
+            goftest.null_bootstrap(predictors, responses, family, np.ones(shape))
+    draws = goftest.golden_section_draws((1, 30), rng)
+    theta, residuals, failed = goftest.null_bootstrap(predictors, responses, family, draws, [1.0])
+    assert theta.tolist() == [1.0] and residuals.shape == (2, 30) and failed == 0
+    np.testing.assert_allclose(residuals[1], (responses - 1.0) * draws[0], rtol=0, atol=1e-14)
+
+
+def test_bootstrap_test_draws_its_block_from_the_seed(rng):
+    """``bootstrap_test`` is ``null_bootstrap`` on the (B, n) golden-section
+    block of ``default_rng(seed)`` and one statistic call."""
+    predictors, responses = sample_constant_model(rng, n=60)
+    family = parfit.linear_family(1)
+    cfg = make_cfg(bootstrap=30, seed=8)
+    result = goftest.bootstrap_test(predictors, responses, family, cfg)
+    draws = goftest.golden_section_draws((30, 60), np.random.default_rng(8))
+    _, residuals, _ = goftest.null_bootstrap(predictors, responses, family, draws)
+    values = goftest.streamed_statistic(predictors, cfg, residuals)[0]
+    assert result.statistic == values[0]
+    np.testing.assert_array_equal(result.bootstrap_statistics, values[1:])
 
 
 def _stubborn_family():
@@ -474,7 +501,7 @@ def test_simple_null_rejection_rate():
             seed=404, hypothesis="simple", theta0=np.array([1.0]),
         )
         draws = goftest.golden_section_draws((100, 100), trial_rng)
-        _, residuals, _ = goftest.null_bootstrap(predictors, responses, family, cfg, draws)
+        _, residuals, _ = goftest.null_bootstrap(predictors, responses, family, draws, cfg.theta0)
         values = goftest.statistic_from_residuals(goftest.node_cache(predictors, cfg), residuals)
         rejected += np.mean(values[0] <= values[1:]) < 0.05
     assert 0.02 <= rejected / reps <= 0.08
