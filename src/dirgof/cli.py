@@ -44,6 +44,11 @@ _FAMILY_BUILDERS = {
 }
 
 
+# an inline scenario's keys: its null, which test reads too, and the rest
+_NULL_KEYS = ("family", "constraint", "theta0")
+_SCENARIO_KEYS = ("design", "noise", "noise_sd", "deviation", "deviation_coef")
+
+
 class DataError(ValueError):
     """Malformed input data or configuration."""
 
@@ -99,18 +104,15 @@ def _build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         help="design density: a named model (M1, M4s, M12s, M20s, M16s) or "
         "mixture components 'weight:kappa:mu1,..,mud; ...'",
     )
+    parser.add_argument("--noise", choices=["hom", "het"], help="noise model (custom; hom)")
     parser.add_argument(
-        "--noise", choices=["hom", "het"], default="hom", help="noise model (custom)"
+        "--noise-sd", type=_number(float), help="homoscedastic noise sd (custom; 0.5)"
     )
     parser.add_argument(
-        "--noise-sd", type=_number(float), default=0.5, help="homoscedastic noise sd (custom)"
+        "--deviation", choices=["none", "d1", "d2"], help="deviation shape (custom; none)"
     )
     parser.add_argument(
-        "--deviation", choices=["none", "d1", "d2"], default="none",
-        help="deviation shape (custom)",
-    )
-    parser.add_argument(
-        "--deviation-coef", type=_number(float), default=0.0, help="deviation coefficient"
+        "--deviation-coef", type=_number(float), help="deviation coefficient (custom; 0)"
     )
     parser.add_argument(
         "--q", type=_number(int, 1), help="sphere dimension (scenarios default to 1)"
@@ -131,13 +133,13 @@ def _build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=_number(int, 1), default=1, help="parallel workers")
     parser.add_argument("--out", help="output path (JSON for test, CSV otherwise)")
     parser.add_argument(
-        "--family", choices=sorted(_FAMILY_BUILDERS), default="linear", help="null family"
+        "--family", choices=sorted(_FAMILY_BUILDERS), help="null family (default linear)"
     )
     parser.add_argument("--constraint", help="CSV of the constraint matrix rows")
     parser.add_argument(
-        "--hypothesis", choices=["composite", "simple"], default="composite", help="null type"
+        "--hypothesis", choices=["composite", "simple"], help="null type (test; composite)"
     )
-    parser.add_argument("--theta0", help="comma separated parameter for simple nulls")
+    parser.add_argument("--theta0", help="comma separated parameter (simple null; custom truth)")
     parser.add_argument(
         "--sigma2", type=_number(float), help="noise variance (qqcheck --scenario QQ; default 0.5)"
     )
@@ -220,7 +222,23 @@ def _validate(cfg: dict) -> dict:
             raise DataError("test needs --data")
     elif cfg["scenario"] is None:
         raise DataError(f"{cfg['command']} needs --scenario")
-    if cfg["command"] in ("test", "qqcheck") and cfg["h"] is None:
+    # each command reads one bandwidth flag and one set of scenario keys
+    one_h = cfg["command"] in ("test", "qqcheck")
+    if cfg["h_grid" if one_h else "h"] is not None:
+        read, unread = ("--h", "--h-grid") if one_h else ("--h-grid", "--h")
+        raise DataError(f"{cfg['command']} reads {read}, not {unread}")
+    if cfg["command"] == "test":
+        unread = _SCENARIO_KEYS
+    else:
+        unread = () if cfg["scenario"] == "custom" else _NULL_KEYS + _SCENARIO_KEYS
+    for key in unread:
+        if cfg[key] is not None:
+            raise DataError(f"--{key.replace('_', '-')} applies to --scenario custom only")
+    if cfg["hypothesis"] is not None and cfg["command"] != "test":
+        raise DataError(f"--hypothesis applies to test only, not {cfg['command']}")
+    if cfg["command"] == "test" and cfg["theta0"] is not None and cfg["hypothesis"] != "simple":
+        raise DataError("test reads --theta0 under --hypothesis simple only")
+    if one_h and cfg["h"] is None:
         raise DataError(f"{cfg['command']} needs --h")
     if cfg["local_alt"] and cfg["command"] != "power":
         raise DataError(f"--local-alt applies to power only, not {cfg['command']}")
@@ -275,9 +293,10 @@ def _family_from_config(cfg: dict, q: int) -> parfit.ParametricFamily:
             constraint = np.loadtxt(cfg["constraint"], delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DataError(f"{cfg['constraint']}: {exc}") from exc
-    if cfg["family"] == "constrained-linear" and constraint is None:
+    family = cfg["family"] or "linear"
+    if family == "constrained-linear" and constraint is None:
         raise DataError("constrained-linear needs --constraint")
-    return _FAMILY_BUILDERS[cfg["family"]](q, constraint)
+    return _FAMILY_BUILDERS[family](q, constraint)
 
 
 def _theta0(cfg: dict, family: parfit.ParametricFamily, missing: str) -> np.ndarray:
@@ -310,7 +329,6 @@ def cmd_test(cfg: dict) -> int:
         quadrature=goftest.default_quadrature(q, cfg["quad_res"], seed=cfg["seed"], fit=fit),
         bootstrap=cfg["B"],
         seed=cfg["seed"],
-        hypothesis=cfg["hypothesis"],
         theta0=theta0,
     )
     result = goftest.bootstrap_test(predictors, responses, family, gof_cfg)
@@ -357,8 +375,9 @@ def _scenario_from_config(cfg: dict) -> simsuite.Scenario:
     design = _parse_design(cfg["design"], q) if cfg["design"] else None
     if design is None:
         raise DataError("custom scenarios need --design")
-    deviation = None if cfg["deviation"] == "none" else cfg["deviation"]
-    if cfg["noise_sd"] <= 0:
+    # the defaults of the keys that only a custom scenario reads
+    noise_sd = 0.5 if cfg["noise_sd"] is None else cfg["noise_sd"]
+    if noise_sd <= 0:
         raise DataError("noise-sd must be positive")
     return simsuite.Scenario(
         id="custom",
@@ -366,10 +385,10 @@ def _scenario_from_config(cfg: dict) -> simsuite.Scenario:
         family=family,
         theta0=theta0,
         design=design,
-        noise=cfg["noise"],
-        deviation=deviation,
-        deviation_coef=cfg["deviation_coef"],
-        noise_sd=cfg["noise_sd"],
+        noise=cfg["noise"] or "hom",
+        deviation=None if cfg["deviation"] in (None, "none") else cfg["deviation"],
+        deviation_coef=0.0 if cfg["deviation_coef"] is None else cfg["deviation_coef"],
+        noise_sd=noise_sd,
     )
 
 

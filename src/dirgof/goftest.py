@@ -17,7 +17,7 @@ collects the same slices into the rows for callers that want them.
 Calibration follows a residual wild bootstrap with golden-section
 multipliers: resampled responses are the parametric fit plus residuals
 scaled by two-point multipliers (mean 0, variance 1), the parameter is
-refitted under the composite hypothesis, and the p-value is the fraction
+refitted under the composite null, and the p-value is the fraction
 of replicate statistics at or above the observed one.  None of that reads
 the bandwidth, so a bandwidth grid shares one ``null_bootstrap``.
 """
@@ -88,23 +88,19 @@ def golden_section_draws(shape, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GofConfig:
-    """Everything the test needs besides the data and the null family."""
+    """Everything the test needs besides the data and the null family; a
+    given ``theta0`` is the simple null, ``None`` the composite one."""
 
     fit: LocalFitConfig
     quadrature: SphereQuadrature
     bootstrap: int = 1000
     seed: int = 0
-    hypothesis: str = "composite"
     theta0: np.ndarray | None = None
     weight_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.bootstrap < 1:
             raise ValueError(f"bootstrap size must be >= 1, got {self.bootstrap}")
-        if self.hypothesis not in ("composite", "simple"):
-            raise ValueError(f"hypothesis must be composite or simple: {self.hypothesis!r}")
-        if self.hypothesis == "simple" and self.theta0 is None:
-            raise ValueError("the simple hypothesis needs theta0")
 
 
 @dataclass
@@ -264,7 +260,7 @@ def _config_echo(cfg: GofConfig, n: int, q: int, family_kind: str) -> dict:
         "kernel": cfg.fit.kernel.tag,
         "bootstrap": cfg.bootstrap,
         "seed": cfg.seed,
-        "hypothesis": cfg.hypothesis,
+        "hypothesis": "composite" if cfg.theta0 is None else "simple",
         "family": family_kind,
         "weight": "uniform" if cfg.weight_fn is None else "custom",
         "quadrature": {
@@ -318,11 +314,10 @@ def bootstrap_test(predictors, responses, family: parfit.ParametricFamily, cfg: 
     """
     predictors = np.asarray(predictors, dtype=float)
     n, dim = predictors.shape
-    theta0 = cfg.theta0 if cfg.hypothesis == "simple" else None
     # the block dies with null_bootstrap's frame, before the statistic runs
     theta_hat, residuals, failed = null_bootstrap(
         predictors, responses, family,
-        golden_section_draws((cfg.bootstrap, n), np.random.default_rng(cfg.seed)), theta0,
+        golden_section_draws((cfg.bootstrap, n), np.random.default_rng(cfg.seed)), cfg.theta0,
     )
     values, regularized, empty = streamed_statistic(predictors, cfg, residuals)
     observed, replicate_stats = float(values[0]), values[1:]

@@ -13,6 +13,7 @@ Gauss-Jacobi nodes (scipy.special); both are imported where they are used.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, gamma, inf, pi, sqrt
@@ -115,7 +116,6 @@ class KernelConstants:
     radial moment ratio driving the smoothing bias.
     """
 
-    q: int
     scale: float
     scale_sq: float
     moment_ratio: float
@@ -144,7 +144,7 @@ def kernel_constants(kernel: DirectionalKernel, q: int) -> KernelConstants:
 
     m0_sq = radial_moment(DirectionalKernel(fn=fn_sq, decay=kernel.decay), q, shift=0)
     return KernelConstants(
-        q=q, scale=prefactor * m0, scale_sq=prefactor * m0_sq, moment_ratio=m1 / m0
+        scale=prefactor * m0, scale_sq=prefactor * m0_sq, moment_ratio=m1 / m0
     )
 
 
@@ -173,6 +173,20 @@ def normalizing_constant(kernel: DirectionalKernel, q: int, h: float) -> float:
     return 1.0 / (lam_h * h**q)
 
 
+def _ascending_sum(order: float, x: float) -> float:
+    """Σ_k (x/2)^2k Γ(ν+1) / (k! Γ(ν+k+1)), ν = ``order``: I_ν(x) over its
+    leading term (x/2)^ν / Γ(ν+1), so at least 1."""
+    half = 0.5 * x
+    term = total = 1.0
+    k = 0
+    while term > 1e-17 * total:
+        k += 1
+        # x/2 twice, not a rounded x^2/4: that error would grow with k
+        term = term * half / k * half / (order + k)
+        total += term
+    return total
+
+
 def ive(order: float, x: float) -> float:
     """Exponentially scaled modified Bessel function e^-x I_order(x), x >= 0.
 
@@ -185,15 +199,7 @@ def ive(order: float, x: float) -> float:
     """
     x = float(x)
     if x <= max(30.0, order * order):
-        half = 0.5 * x
-        term = total = 1.0
-        k = 0
-        while term > 1e-17 * total:
-            k += 1
-            # x/2 twice, not a rounded x^2/4: that error would grow with k
-            term = term * half / k * half / (order + k)
-            total += term
-        return exp(-x) * half**order / gamma(order + 1.0) * total
+        return exp(-x) * (0.5 * x) ** order / gamma(order + 1.0) * _ascending_sum(order, x)
     mu = 4.0 * order * order
     term = total = 1.0
     k = 0
@@ -207,19 +213,26 @@ def ive(order: float, x: float) -> float:
 def scaled_vmf_normalizer(q: int, kappa: float) -> float:
     """e^κ C_q(κ) = κ^ν / ((2π)^((q+1)/2) ive(ν, κ)), ν = (q-1)/2, for the
     von Mises-Fisher normalizer C_q(κ) on the q-sphere, κ > 0; the scaled
-    Bessel function keeps it stable at large κ."""
+    Bessel function keeps it stable at large κ.  Where ive underflows (tiny
+    κ at q >= 4), κ^ν / ive(ν, κ) is taken as 2^ν Γ(ν+1) e^κ / Σ with Σ the
+    ascending series' sum, so the normalizer tends to 1/|S^q| as κ -> 0."""
     order = (q - 1) / 2.0
-    return kappa**order / ((2.0 * pi) ** ((q + 1) / 2.0) * ive(order, kappa))
+    root = (2.0 * pi) ** ((q + 1) / 2.0)
+    bessel = ive(order, kappa)
+    if bessel < sys.float_info.min:
+        series = _ascending_sum(order, kappa)
+        return 2.0**order * gamma(order + 1.0) * exp(kappa) / (root * series)
+    return kappa**order / (root * bessel)
 
 
 def von_mises_normalizing_constant(q: int, h: float) -> float:
     """Closed form of the normalizing constant for the exp(-r) profile, the
     scaled von Mises-Fisher normalizer at concentration 1/h^2; raises
     ``BandwidthOverflowError`` where that leaves the float range (small h
-    at q >= 3, large h at q >= 4)."""
+    at q >= 3)."""
     try:
         value = scaled_vmf_normalizer(q, 1.0 / h**2)
-    except ArithmeticError:  # κ^ν overflows, or κ^ν and ive both underflow
+    except ArithmeticError:  # κ^ν overflows
         value = inf
     if value == inf:
         raise BandwidthOverflowError(

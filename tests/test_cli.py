@@ -633,10 +633,8 @@ def test_sigma2_applies_to_qqcheck_qq_only(tmp_path, capsys):
         ("qqcheck", 3, ["--scenario", "QQ", "--h", "1e150"], ["h^q", "--h"]),
         ("test", 3, ["--h", "1e-120"], ["kernel normalizer", "--h"]),
         ("test", 4, ["--h", "1e-120"], ["kernel normalizer", "--h"]),
-        ("trace", 4, ["--scenario", "S1", "--h-grid", "1e140", "--workers", "2"],
-         ["kernel normalizer", "--h-grid"]),
     ],
-    ids=["sigma4", "h-power", "normalizer-q3", "normalizer-q4", "normalizer-large-h"],
+    ids=["sigma4", "h-power", "normalizer-q3", "normalizer-q4"],
 )
 def test_overflows_inside_the_ranges_name_their_cause(tmp_path, capsys, command, q, extra, words):
     """Flag values inside their ranges whose derived constants leave the
@@ -650,6 +648,63 @@ def test_overflows_inside_the_ranges_name_their_cause(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("dirgof: numeric failure:")
     assert all(word in err for word in words) and f"q={q}" in err, err
+    assert not out.exists()
+
+
+def test_largest_bandwidths_run_at_q4(tmp_path):
+    """At q=4 the kernel normalizer stays finite up to the top of the
+    bandwidth range, where its closed form's two factors underflow."""
+    out = tmp_path / "t.csv"
+    rc = run_main("--command", "trace", "--scenario", "S1", "--q", "4", "--n", "30", "--M", "2",
+                  "--B", "5", "--h-grid", "1e140,1e150", "--workers", "2", "--out", str(out))
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * 3
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--command", "trace", "--scenario", "S1", "--h", "0.3"], "trace reads --h-grid, not --h"),
+        (["--command", "power", "--scenario", "S1", "--h", "0.3", "--h-grid", "0.3"],
+         "power reads --h-grid, not --h"),
+        (["--command", "test", "--data", "{data}", "--h", "0.5", "--h-grid", "0.3,0.5"],
+         "test reads --h, not --h-grid"),
+        (["--command", "qqcheck", "--scenario", "QQ", "--h-grid", "0.5"],
+         "qqcheck reads --h, not --h-grid"),
+        (["--command", "trace", "--scenario", "S1", "--h-grid", "0.5", "--hypothesis", "simple"],
+         "--hypothesis applies to test only, not trace"),
+        (["--command", "qqcheck", "--scenario", "QQ", "--h", "0.5", "--hypothesis", "composite"],
+         "--hypothesis applies to test only, not qqcheck"),
+        (["--command", "test", "--data", "{data}", "--h", "0.5", "--theta0", "1,2,3"],
+         "test reads --theta0 under --hypothesis simple only"),
+        (["--command", "test", "--data", "{data}", "--h", "0.5", "--hypothesis", "composite",
+          "--theta0", "1,2,3"], "test reads --theta0 under --hypothesis simple only"),
+        *[(["--command", "trace", "--scenario", "S1", "--h-grid", "0.5", flag, value],
+           f"{flag} applies to --scenario custom only")
+          for flag, value in (("--family", "constant"), ("--constraint", "{csv}"),
+                              ("--theta0", "5"), ("--design", "M4s"), ("--noise", "hom"),
+                              ("--noise-sd", "9"), ("--deviation", "d2"),
+                              ("--deviation-coef", "3"))],
+        (["--command", "power", "--scenario", "S2", "--h-grid", "0.5", "--deviation", "none"],
+         "--deviation applies to --scenario custom only"),
+        (["--command", "qqcheck", "--scenario", "QQ", "--h", "0.5", "--noise-sd", "0.5"],
+         "--noise-sd applies to --scenario custom only"),
+        *[(["--command", "test", "--data", "{data}", "--h", "0.5", flag, value],
+           f"{flag} applies to --scenario custom only")
+          for flag, value in (("--design", "M1"), ("--noise", "het"), ("--noise-sd", "1"),
+                              ("--deviation", "d1"), ("--deviation-coef", "0"))],
+    ],
+)
+def test_flags_a_command_ignores_are_refused(tmp_path, capsys, args, message):
+    """A bandwidth flag, null flag or scenario key that the command would
+    not read exits 2 naming it, rather than running as if it were absent."""
+    data, csv_path, out = tmp_path / "d.csv", tmp_path / "c.csv", tmp_path / "o"
+    write_sample_csv(data, n=30)
+    csv_path.write_text("1,0,0\n")
+    paths = {"{data}": str(data), "{csv}": str(csv_path)}
+    args = [paths.get(arg, arg) for arg in args]
+    assert run_main(*args, "--n", "30", "--M", "1", "--B", "5", "--out", str(out)) == 2
+    assert f"dirgof: error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

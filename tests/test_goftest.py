@@ -414,7 +414,7 @@ def test_fast_path_equals_from_scratch(rng):
 def test_simple_hypothesis_skips_refit(rng):
     predictors, responses = sample_constant_model(rng)
     family = parfit.constant_family()
-    cfg = make_cfg(bootstrap=64, hypothesis="simple", theta0=np.array([1.0]))
+    cfg = make_cfg(bootstrap=64, theta0=np.array([1.0]))
     result = goftest.bootstrap_test(predictors, responses, family, cfg)
     assert result.theta_hat[0] == 1.0
     assert 0.0 <= result.p_value <= 1.0
@@ -498,7 +498,7 @@ def test_simple_null_rejection_rate():
         predictors, responses = sample_constant_model(trial_rng)
         cfg = goftest.GofConfig(
             fit=LocalFitConfig(0, 0.5), quadrature=quad, bootstrap=100,
-            seed=404, hypothesis="simple", theta0=np.array([1.0]),
+            seed=404, theta0=np.array([1.0]),
         )
         draws = goftest.golden_section_draws((100, 100), trial_rng)
         _, residuals, _ = goftest.null_bootstrap(predictors, responses, family, draws, cfg.theta0)
@@ -510,10 +510,6 @@ def test_simple_null_rejection_rate():
 def test_config_validation():
     with pytest.raises(ValueError):
         make_cfg(bootstrap=0)
-    with pytest.raises(ValueError):
-        make_cfg(hypothesis="simple")
-    with pytest.raises(ValueError):
-        make_cfg(hypothesis="plain")
 
 
 def test_center_scale_plugin_values():

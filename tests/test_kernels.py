@@ -129,6 +129,16 @@ def test_von_mises_normalizer_routes_to_closed_form():
             assert routed == kernels.von_mises_normalizing_constant(q, h)
 
 
+@pytest.mark.parametrize("q", [4, 5, 6])
+def test_von_mises_normalizer_large_bandwidth_limit(q):
+    """As h grows the kernel flattens to the uniform density 1/|S^q|; at
+    q >= 4 the factors κ^ν and ive(ν, κ) of the closed form both underflow
+    there, yet the normalizer stays finite up to the top of the range."""
+    for h in np.geomspace(1e100, 1e150, 11):
+        value = kernels.von_mises_normalizing_constant(q, h)
+        assert value * surface_area(q) == pytest.approx(1.0, rel=1e-15, abs=0), (q, h)
+
+
 def test_normalizing_constant_small_bandwidth_limit():
     h = 0.05
     for q in (1, 2):
