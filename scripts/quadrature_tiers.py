@@ -14,12 +14,11 @@ The default cells are the degree-0 tier thresholds of
 
 import argparse
 import json
+import sys
 
 import numpy as np
 
 from dirgof import goftest, simsuite
-from dirgof.locreg import LocalFitConfig
-from dirgof.sphere import build_quadrature
 
 
 def main() -> None:
@@ -31,7 +30,10 @@ def main() -> None:
 
     cells = [(0, low, r) for low, r in goftest.Q2_DEGREE0_TIERS]
     cells += [(0, 0.72, 24), (0, 0.55, 32), (1, 0.95, 32)]
-    rules = {r: build_quadrature(2, resolution=r) for r in {48, *(r for _, _, r in cells)}}
+    configs = {
+        (degree, h, r): [goftest.bandwidth_configs(2, [h], degree, size)[0] for size in (r, 48)]
+        for degree, h, r in cells
+    }
     table = {}
     for scenario_id in simsuite.SCENARIO_IDS:
         scenario = simsuite.make_scenario(scenario_id, 2)
@@ -44,19 +46,15 @@ def main() -> None:
                 _, residuals, _ = goftest.null_bootstrap(
                     predictors, responses, scenario.family, multipliers
                 )
-                for degree, h, r in cells:
-                    fit = LocalFitConfig(degree, h)
+                for cell, pair in configs.items():
                     coarse, fine = (
-                        goftest.streamed_statistic(
-                            predictors, goftest.GofConfig(fit=fit, quadrature=rules[size]), residuals
-                        )[0]
-                        for size in (r, 48)
+                        goftest.streamed_statistic(predictors, cfg, residuals)[0] for cfg in pair
                     )
                     gap = float(np.max(np.abs(coarse - fine) / np.abs(fine)))
-                    worst[degree, h, r] = max(worst[degree, h, r], gap)
+                    worst[cell] = max(worst[cell], gap)
             for (degree, h, r), gap in worst.items():
                 table[f"{scenario_id} n={n} p={degree} h={h} r={r}"] = float(f"{gap:.2g}")
-            print(f"{scenario_id} n={n} done", flush=True)
+            print(f"{scenario_id} n={n} done", file=sys.stderr, flush=True)
     print(json.dumps(table, indent=1))
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import goftest, parfit, simsuite
 from .kernels import BandwidthOverflowError
-from .locreg import LocalFitConfig
 from .sphere import unit_rows
 
 EXIT_DATA_ERROR = 2
@@ -287,13 +286,15 @@ def _read_data_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _family_from_config(cfg: dict, q: int) -> parfit.ParametricFamily:
+    family = cfg["family"] or "linear"
+    if cfg["constraint"] is not None and family != "constrained-linear":
+        raise DataError("--constraint applies to --family constrained-linear only")
     constraint = None
     if cfg["constraint"]:
         try:
             constraint = np.loadtxt(cfg["constraint"], delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DataError(f"{cfg['constraint']}: {exc}") from exc
-    family = cfg["family"] or "linear"
     if family == "constrained-linear" and constraint is None:
         raise DataError("constrained-linear needs --constraint")
     return _FAMILY_BUILDERS[family](q, constraint)
@@ -323,14 +324,8 @@ def cmd_test(cfg: dict) -> int:
     theta0 = None
     if cfg["hypothesis"] == "simple":
         theta0 = _theta0(cfg, family, "simple hypothesis needs --theta0")
-    fit = LocalFitConfig(degree=cfg["p"], bandwidth=cfg["h"])
-    gof_cfg = goftest.GofConfig(
-        fit=fit,
-        quadrature=goftest.default_quadrature(q, cfg["quad_res"], seed=cfg["seed"], fit=fit),
-        bootstrap=cfg["B"],
-        seed=cfg["seed"],
-        theta0=theta0,
-    )
+    (gof_cfg,) = goftest.bandwidth_configs(q, [cfg["h"]], cfg["p"], cfg["quad_res"], cfg["seed"])
+    gof_cfg = dataclasses.replace(gof_cfg, bootstrap=cfg["B"], seed=cfg["seed"], theta0=theta0)
     result = goftest.bootstrap_test(predictors, responses, family, gof_cfg)
     _write_bytes(cfg["out"], result.to_json() + "\n")
     return 0

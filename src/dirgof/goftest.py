@@ -103,6 +103,22 @@ class GofConfig:
             raise ValueError(f"bootstrap size must be >= 1, got {self.bootstrap}")
 
 
+def bandwidth_configs(
+    q: int, h_grid, degree: int, resolution: int | None = None, seed: int = 0
+) -> list[GofConfig]:
+    """One ``GofConfig`` per bandwidth of ``h_grid``, in its order, on the rule
+    ``default_quadrature(q, resolution, seed, fit)`` builds; bandwidths that
+    share a rule share one built object."""
+    rules, configs = {}, []
+    for h in h_grid:
+        fit = LocalFitConfig(degree=degree, bandwidth=float(h))
+        size = default_resolution(q, fit) if resolution is None else resolution
+        if size not in rules:
+            rules[size] = default_quadrature(q, size, seed=seed)
+        configs.append(GofConfig(fit, rules[size]))
+    return configs
+
+
 @dataclass
 class NodeCache:
     """Per-node quantities shared across bootstrap replicates (read-only)."""

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import density, goftest, parfit
 from .kernels import VON_MISES, gof_asymptotic_variance
-from .locreg import LocalFitConfig
 from .sphere import surface_area
 
 SCENARIO_IDS = ("S1", "S2", "S3", "S4")
@@ -230,30 +229,24 @@ def _run_trials(trial, trials: int, workers: int) -> list:
 
 
 def _trial_p_values(
-    trial: int, scenario, n, h_grid, bootstrap, degree, seed, under_null, local_alternative,
-    quad_resolution,
+    trial: int, scenario, n, configs, bootstrap, seed, under_null, local_alternative
 ) -> np.ndarray:
-    """p-values over the bandwidth grid for one Monte Carlo trial."""
+    """p-values over the bandwidths of ``configs`` for one Monte Carlo trial."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
     # a local alternative adds its h-dependent drift to null responses
     predictors, responses = generate(scenario, n, rng, under_null=under_null or local_alternative)
     multipliers = goftest.golden_section_draws((bootstrap, n), rng)
-    out = np.empty(len(h_grid))
-    residuals = resolution = None
-    for i, h in enumerate(h_grid):
-        fit = LocalFitConfig(degree=degree, bandwidth=float(h))
-        rule = quad_resolution or goftest.default_resolution(scenario.q, fit)
-        # the sorted grid meets each rule's bandwidths in one run: build it once
-        if rule != resolution:
-            resolution, quadrature = rule, goftest.default_quadrature(scenario.q, rule, seed=seed)
+    out = np.empty(len(configs))
+    residuals = None
+    for i, cfg in enumerate(configs):
         # the null bootstrap does not read h; a local alternative's drift does
         if local_alternative or residuals is None:
             y = responses
             if local_alternative:
+                h = cfg.fit.bandwidth
                 drift = local_alternative_scale(n, h, scenario.q) * scenario.deviation_coef
                 y = responses + drift * _DEVIATIONS[scenario.deviation](predictors)
             _, residuals, _ = goftest.null_bootstrap(predictors, y, scenario.family, multipliers)
-        cfg = goftest.GofConfig(fit, quadrature)
         values = goftest.streamed_statistic(predictors, cfg, residuals)[0]
         out[i] = np.mean(values[0] <= values[1:])
     return out
@@ -279,8 +272,8 @@ def significance_trace(
     null bootstrap (null fit and refits) across the whole bandwidth grid;
     under ``local_alternative``, which needs ``under_null=False``, the
     responses move with h, so the null bootstrap reruns per h.
-    ``quad_resolution`` pins one quadrature rule for the grid; by default
-    ``goftest.default_resolution`` sizes it per h.  Trials are independent
+    ``goftest.bandwidth_configs`` gives each h its rule once per run;
+    ``quad_resolution`` pins one rule for the grid.  Trials are independent
     jobs over seeded substreams, so the result does not depend on the
     worker count.
     """
@@ -289,8 +282,8 @@ def significance_trace(
         raise ValueError("need a nonempty grid and trials, bootstrap >= 1")
     if np.any(np.diff(h_grid) <= 0):
         raise ValueError("bandwidth grid has duplicates")
-    for h in h_grid:  # refuses a bandwidth out of range before any trial runs
-        LocalFitConfig(degree=degree, bandwidth=h)
+    # refuses a bandwidth out of range before any trial runs
+    configs = goftest.bandwidth_configs(scenario.q, h_grid, degree, quad_resolution, seed)
     if local_alternative and under_null:
         raise ValueError("a local alternative drifts the responses: it needs under_null=False")
     if (local_alternative or not under_null) and scenario.deviation is None:
@@ -299,9 +292,8 @@ def significance_trace(
     if np.any(np.diff(alphas) <= 0) or not np.all((alphas > 0) & (alphas < 1)):
         raise ValueError("significance levels must lie in (0, 1) without duplicates")
     trial = partial(
-        _trial_p_values, scenario=scenario, n=n, h_grid=h_grid, bootstrap=bootstrap,
-        degree=degree, seed=seed, under_null=under_null, local_alternative=local_alternative,
-        quad_resolution=quad_resolution,
+        _trial_p_values, scenario=scenario, n=n, configs=configs, bootstrap=bootstrap,
+        seed=seed, under_null=under_null, local_alternative=local_alternative,
     )
     p_values = np.vstack(_run_trials(trial, trials, workers))
     rejections = np.stack(
@@ -338,13 +330,10 @@ class QqResult:
     scale: float
 
 
-def _qq_trial(trial: int, scenario, n, h, degree, seed, quad_resolution) -> float:
+def _qq_trial(trial: int, scenario, n, cfg, seed) -> float:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-    fit = LocalFitConfig(degree=degree, bandwidth=h)
-    quadrature = goftest.default_quadrature(scenario.q, quad_resolution, seed=seed, fit=fit)
     predictors, responses = generate(scenario, n, rng, under_null=True)
     theta = parfit.fit(scenario.family, predictors, responses).theta
-    cfg = goftest.GofConfig(fit, quadrature)
     return goftest.statistic(predictors, responses, scenario.family, theta, cfg)
 
 
@@ -376,18 +365,15 @@ def qq_experiment(
             f"sigma^4 at q={scenario.q} leaves the float range for noise sd {scenario.noise_sd:g}"
         )
     variance = gof_asymptotic_variance(VON_MISES, scenario.q, sigma4_area)
-    fit_cfg = LocalFitConfig(degree=degree, bandwidth=h)
+    (cfg,) = goftest.bandwidth_configs(scenario.q, [h], degree, quad_resolution, seed)
     center, scale = goftest.asymptotic_center_scale(
-        fit_cfg, scenario.q, n, sigma2 * area, variance
+        cfg.fit, scenario.q, n, sigma2 * area, variance
     )
-    trial = partial(
-        _qq_trial, scenario=scenario, n=n, h=h, degree=degree, seed=seed,
-        quad_resolution=quad_resolution,
-    )
+    trial = partial(_qq_trial, scenario=scenario, n=n, cfg=cfg, seed=seed)
     stats = _run_trials(trial, trials, workers)
     values = np.array(
         [
-            goftest.standardized_statistic(t, fit_cfg, scenario.q, n, center, scale)
+            goftest.standardized_statistic(t, cfg.fit, scenario.q, n, center, scale)
             for t in stats
         ]
     )

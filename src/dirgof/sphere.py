@@ -14,6 +14,13 @@ from math import gamma, pi
 import numpy as np
 
 
+# largest rule build_quadrature makes: a q=2 grid up to r = 1000, whose
+# Gauss-Legendre companion matrix takes r^2 * 8 bytes = 8 MB, or 1e6 Monte
+# Carlo nodes, 8 (q + 1) MB of coordinates; larger requests would allocate
+# gigabytes before anything could refuse them
+MAX_QUADRATURE_NODES = 1_000_000
+
+
 class UnsupportedSchemeError(ValueError):
     """Requested quadrature scheme does not exist for this dimension."""
 
@@ -142,11 +149,19 @@ def build_quadrature(
     q=1 uses equally spaced angles (trapezoid, spectrally accurate for
     periodic integrands); q=2 a Gauss-Legendre x azimuth product rule in
     tangent-normal coordinates; q>=3 seeded Monte Carlo with equal weights.
+    A rule of more than ``MAX_QUADRATURE_NODES`` nodes raises ValueError
+    before anything is allocated.
     """
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
     if scheme == "auto":
         scheme = "exact-grid" if q <= 2 else "monte-carlo"
+    count = resolution**2 if (q, scheme) == (2, "exact-grid") else resolution
+    if count > MAX_QUADRATURE_NODES:
+        raise ValueError(
+            f"resolution {resolution} asks for {count} nodes, "
+            f"more than MAX_QUADRATURE_NODES = {MAX_QUADRATURE_NODES}"
+        )
     if scheme == "exact-grid":
         if q == 1:
             angles = 2.0 * pi * np.arange(resolution) / resolution

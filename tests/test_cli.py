@@ -693,6 +693,12 @@ def test_largest_bandwidths_run_at_q4(tmp_path):
            f"{flag} applies to --scenario custom only")
           for flag, value in (("--design", "M1"), ("--noise", "het"), ("--noise-sd", "1"),
                               ("--deviation", "d1"), ("--deviation-coef", "0"))],
+        # every family but constrained-linear drops the constraint
+        (["--command", "test", "--data", "{data}", "--h", "0.5", "--constraint", "{csv}"],
+         "--constraint applies to --family constrained-linear only"),
+        (["--command", "trace", "--scenario", "custom", "--family", "constant", "--theta0", "1",
+          "--design", "M1", "--h-grid", "0.5", "--constraint", "{csv}"],
+         "--constraint applies to --family constrained-linear only"),
     ],
 )
 def test_flags_a_command_ignores_are_refused(tmp_path, capsys, args, message):
@@ -743,10 +749,14 @@ def test_flags_a_command_ignores_are_refused(tmp_path, capsys, args, message):
          None, "noise-sd must be positive"),
         (["--command", "qqcheck", "--scenario", "QQ", "--h", "0.5", "--sigma2", "0",
           "--out", "{out}"], None, "sigma2 must be positive"),
+        # 1001^2 nodes; refused before the rule or any trial is built
+        (["--command", "trace", "--scenario", "S1", "--q", "2", "--h-grid", "0.5",
+          "--quad-res", "1001", "--out", "{out}"], None,
+         "resolution 1001 asks for 1002001 nodes, more than MAX_QUADRATURE_NODES = 1000000"),
     ],
     ids=["bad-list", "empty-list", "no-out", "no-file", "no-scenario", "no-h", "no-rows",
          "non-numeric", "ragged", "all-wide", "no-constraint", "theta0-size", "q-mismatch",
-         "design-component", "noise-sd", "sigma2"],
+         "design-component", "noise-sd", "sigma2", "quad-res-cap"],
 )
 def test_cli_refusals_name_the_input(tmp_path, capsys, args, content, message):
     """Every input the CLI itself refuses exits 2 with its reason and

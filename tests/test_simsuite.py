@@ -172,14 +172,22 @@ def test_refits_once_per_trial_unless_responses_move(
     assert len(calls) == 2 * refits_per_trial
 
 
-def _p_values_refitting_per_bandwidth(scenario, n, h_grid, bootstrap, degree, seed, trial, quad_res):
-    """One null trial as the trace once ran it: quadrature, null fit, refits
-    and the direct form of the statistic redone at every bandwidth."""
+def _p_values_refitting_per_bandwidth(
+    scenario, n, h_grid, bootstrap, degree, seed, trial, quad_res, local_alternative
+):
+    """One trial as the trace once ran it: quadrature, null fit, refits and
+    the direct form of the statistic redone at every bandwidth; a local
+    alternative adds its drift to null responses before the null fit."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-    predictors, responses = simsuite.generate(scenario, n, rng)
+    predictors, null_responses = simsuite.generate(scenario, n, rng)
     multipliers = goftest.golden_section_draws((bootstrap, n), rng)
+    deviation = {"d1": simsuite.deviation_one, "d2": simsuite.deviation_two}[scenario.deviation]
     out = []
     for h in h_grid:
+        responses = null_responses
+        if local_alternative:
+            drift = simsuite.local_alternative_scale(n, h, scenario.q) * scenario.deviation_coef
+            responses = null_responses + drift * deviation(predictors)
         fit = LocalFitConfig(degree, h)
         cfg = goftest.GofConfig(
             fit=fit,
@@ -202,16 +210,27 @@ def _p_values_refitting_per_bandwidth(scenario, n, h_grid, bootstrap, degree, se
 
 
 @pytest.mark.parametrize(
-    "scenario_id, q, degree, quad_res",
-    [("S4", 1, 0, None), ("S2", 2, 1, 16), ("S1", 2, 0, None)],
+    "scenario_id, q, degree, quad_res, local_alternative",
+    [
+        pytest.param(*case, local, id="-".join(map(str, case)) + ("-local-alt" if local else ""))
+        for local, cases in (
+            (False, [("S4", 1, 0, None), ("S2", 2, 1, 16), ("S1", 2, 0, None)]),
+            # the tier-crossing grid, degree-1 rows and S4's Levenberg-Marquardt refits
+            (True, [("S1", 2, 0, None), ("S2", 1, 1, None), ("S4", 1, 0, None)]),
+        )
+        for case in cases
+    ],
 )
-def test_trace_equals_refitting_per_bandwidth(scenario_id, q, degree, quad_res):
+def test_trace_equals_refitting_per_bandwidth(scenario_id, q, degree, quad_res, local_alternative):
     scenario = simsuite.make_scenario(scenario_id, q)
     kw = dict(n=60, h_grid=[0.3, 0.6, 0.7, 1.2], bootstrap=30, degree=degree, seed=31)
-    trace = simsuite.significance_trace(scenario, trials=2, quad_resolution=quad_res, **kw)
+    trace = simsuite.significance_trace(
+        scenario, trials=2, quad_resolution=quad_res, under_null=not local_alternative,
+        local_alternative=local_alternative, **kw,
+    )
     for trial in range(2):
         expected = _p_values_refitting_per_bandwidth(
-            scenario, trial=trial, quad_res=quad_res, **kw
+            scenario, trial=trial, quad_res=quad_res, local_alternative=local_alternative, **kw
         )
         assert trace.p_values[trial].tolist() == expected
 
@@ -244,15 +263,15 @@ def _record_rules(monkeypatch):
     ],
 )
 def test_trace_builds_one_rule_per_tier(monkeypatch, degree, quad_res, counts):
-    """Each bandwidth sees its tier's rule, and a trial builds each rule once
-    per tier; ``quad_resolution`` pins one rule for every h."""
+    """Each bandwidth sees its tier's rule, and a run builds each rule once,
+    whatever its trial count; ``quad_resolution`` pins one rule for every h."""
     seen = _record_rules(monkeypatch)
     simsuite.significance_trace(
         simsuite.make_scenario("S1", 2), n=30, h_grid=[1.5, 0.3, 0.7, 0.9, 0.5], trials=2,
         bootstrap=5, degree=degree, quad_resolution=quad_res,
     )
     assert seen["cache"] == counts * 2
-    assert seen["built"] == sorted(set(counts), reverse=True) * 2
+    assert seen["built"] == sorted(set(counts), reverse=True)
 
 
 @pytest.mark.parametrize("degree", [0, 1])

@@ -113,6 +113,14 @@ def test_quadrature_grid_refused_high_dimension():
         sphere.build_quadrature(1, resolution=4)
 
 
+@pytest.mark.parametrize("q, resolution", [(1, 1_000_001), (2, 1001)])
+def test_rules_past_the_node_cap_are_refused(q, resolution):
+    """Refused before anything is built: the q=2 grid's count is r^2, so
+    r = 1001 is 1002001 nodes (a missing check would allocate tens of MB)."""
+    with pytest.raises(ValueError, match="MAX_QUADRATURE_NODES"):
+        sphere.build_quadrature(q, resolution=resolution)
+
+
 @pytest.mark.parametrize("q", [1, 2])
 def test_moment_identities_on_grid(q):
     quad = sphere.build_quadrature(q, resolution=64)
