@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import os
 import re
 import sys
 from math import isfinite, sqrt
@@ -213,6 +214,9 @@ def _validate(cfg: dict) -> dict:
         raise DataError("--out is required")
     if cfg["seed"] < 0:  # numpy seeds are non-negative; _merge reads any int
         raise DataError(f"argument --seed: expected int >= 0, got {cfg['seed']}")
+    cpus = os.cpu_count() or 1  # each worker holds a trial's arrays
+    if cfg["workers"] > cpus:
+        raise DataError(f"argument --workers: expected int <= {cpus} (CPUs), got {cfg['workers']}")
     for path_key in ("data", "constraint"):
         if cfg[path_key] is not None and not Path(cfg[path_key]).is_file():
             raise DataError(f"{path_key} file not found: {cfg[path_key]}")

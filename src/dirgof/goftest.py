@@ -158,11 +158,15 @@ def _node_slices(predictors, cfg: GofConfig, flags, means):
         raise ValueError("weight_fn must return finite, non-negative values")
     norm = normalizing_constant(cfg.fit.kernel, predictors.shape[1] - 1, cfg.fit.bandwidth)
     buffer = np.empty((min(m, GRAM_SLICE), len(predictors)))
+    # degree 0 divides its kernel values in the buffer; degree 1 reads them
+    # while it writes the rows, so it forms them in one reused block
+    kernel_block = np.empty((min(m, locreg.NODE_BLOCK), len(predictors))) if cfg.fit.degree else None
     for part in locreg.node_blocks(m, GRAM_SLICE):
         rows = buffer[: len(nodes[part])]
         for block in locreg.node_blocks(len(rows)):
             at = slice(part.start + block.start, part.start + block.stop)
-            raw = locreg.kernel_weight_matrix(nodes[at], predictors, cfg.fit)
+            into = rows[block] if kernel_block is None else kernel_block[: len(rows[block])]
+            raw = locreg.kernel_weight_matrix(nodes[at], predictors, cfg.fit, out=into)
             means[at] = raw.mean(axis=1)
             flags[at] = locreg.weight_rows(
                 nodes[at], predictors, cfg.fit, raw=raw, out=rows[block]
@@ -178,13 +182,17 @@ def _quadratic_form(slices, m: int, residuals) -> np.ndarray | float:
     residuals = np.asarray(residuals, dtype=float)
     n, r = residuals.shape[-1], residuals.shape[0]
     gram_form = residuals.ndim == 2 and n * (m + 2 * r) < 2 * m * r
-    total = 0.0
+    total, product = None if gram_form else 0.0, None
     for _, rows, factor in slices:
         if gram_form:  # S = diag(sqrt(f)) R, and S^T S a syrk
             rows *= np.sqrt(factor)[:, None]
-            total += rows.T @ rows
+            if total is None:  # the first slice's syrk is the total, uncopied
+                total = rows.T @ rows
+            else:
+                total += (product := np.matmul(rows.T, rows, out=product))
         else:
             total += factor @ (rows @ residuals.T) ** 2
+    rows = None  # the slice buffer dies before the (r, n) product
     values = np.einsum("bi,bi->b", residuals @ total, residuals) if gram_form else total
     if not np.all(np.isfinite(values)):
         raise RuntimeError("non-finite statistic: residuals too large to square, or not finite")
@@ -319,6 +327,7 @@ def null_bootstrap(
             raise RuntimeError(
                 f"{failed} of {len(multipliers)} bootstrap refits failed to converge"
             )
+    del star_responses  # before the stacked block is made
     return np.atleast_1d(theta_hat), np.vstack([residuals, star_residuals]), failed
 
 

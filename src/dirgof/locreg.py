@@ -81,13 +81,19 @@ def kernel_weights(x, predictors, cfg: LocalFitConfig) -> np.ndarray:
     return kernel_weight_matrix(np.asarray(x, dtype=float)[None], predictors, cfg)[0]
 
 
-def kernel_weight_matrix(nodes, predictors, cfg: LocalFitConfig) -> np.ndarray:
+def kernel_weight_matrix(nodes, predictors, cfg: LocalFitConfig, out=None) -> np.ndarray:
     """Raw kernel values between evaluation points (rows) and the sample; the
-    scaled gaps ``(1 - nodes @ predictors.T) / h^2`` are formed in place."""
-    gaps = np.asarray(nodes, dtype=float) @ np.asarray(predictors, dtype=float).T
-    np.subtract(1.0, gaps, out=gaps)
-    w = cfg.kernel(np.divide(gaps, cfg.bandwidth**2, out=gaps))
-    w[w < WEIGHT_FLOOR] = 0.0
+    scaled gaps ``(1 - nodes @ predictors.T) / h^2`` are formed in place, in
+    ``out`` (m, n) when given.  The von Mises kernel is evaluated there too,
+    as exp((g - 1) / h^2): IEEE subtraction and division are symmetric in
+    sign, so that is exp(-(1 - g) / h^2) bit for bit."""
+    w = np.matmul(np.asarray(nodes, dtype=float), np.asarray(predictors, dtype=float).T, out=out)
+    if cfg.kernel == VON_MISES:
+        np.exp(np.divide(np.subtract(w, 1.0, out=w), cfg.bandwidth**2, out=w), out=w)
+    else:
+        w[...] = cfg.kernel(np.divide(np.subtract(1.0, w, out=w), cfg.bandwidth**2, out=w))
+    if w.size and w.min() < WEIGHT_FLOOR:
+        w[w < WEIGHT_FLOOR] = 0.0
     return w
 
 
@@ -217,7 +223,8 @@ def weight_rows(nodes, predictors, cfg: LocalFitConfig, raw=None, out=None):
     local constant.  Both degrees run in blocks of ``NODE_BLOCK`` nodes, which
     bounds the memory of the stacked degree-1 factorizations.  ``raw`` may
     carry a precomputed kernel matrix to share with a density estimate, and
-    ``out`` the (m, n) array to fill.
+    ``out`` the (m, n) array to fill; at degree 0 ``out`` may be ``raw``,
+    which the rows then overwrite.
     """
     nodes = np.asarray(nodes, dtype=float)
     predictors = np.asarray(predictors, dtype=float)

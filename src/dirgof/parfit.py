@@ -209,7 +209,8 @@ def _closed_form(family, points, ys):
         )
     q_mat, r_mat = np.linalg.qr(design)
     thetas = np.linalg.solve(r_mat, q_mat.T @ ys.T).T
-    return thetas, ys - thetas @ design.T
+    fitted = thetas @ design.T
+    return thetas, np.subtract(ys, fitted, out=fitted)
 
 
 def _grid_init_damped_sine(family, points, responses):

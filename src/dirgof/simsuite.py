@@ -247,6 +247,8 @@ def _trial_p_values(
                 drift = local_alternative_scale(n, h, scenario.q) * scenario.deviation_coef
                 y = responses + drift * _DEVIATIONS[scenario.deviation](predictors)
             _, residuals, _ = goftest.null_bootstrap(predictors, y, scenario.family, multipliers)
+            if not local_alternative:
+                multipliers = None  # every h reuses these residuals
         values = goftest.streamed_statistic(predictors, cfg, residuals)[0]
         out[i] = np.mean(values[0] <= values[1:])
     return out

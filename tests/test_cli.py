@@ -512,6 +512,25 @@ def test_negative_seed_is_a_data_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_workers_above_the_cpu_count_are_a_data_error(tmp_path, capsys, monkeypatch):
+    """More workers than CPUs exit 2 naming --workers before any process
+    starts, from a flag or a file line; as many as the CPUs still run."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(
+        simsuite, "_run_trials", lambda *a: pytest.fail("a refused run started its trials")
+    )
+    cfgfile, out = tmp_path / "workers.cfg", tmp_path / "o"
+    cfgfile.write_text("workers = 2\n")
+    trace = ["--command", "trace", "--scenario", "S1", "--n", "30", "--M", "2", "--B", "5"]
+    for args in ([*trace, "--workers", "2"], [*trace, "--config", str(cfgfile)]):
+        assert run_main(*args, "--out", str(out)) == cli.EXIT_DATA_ERROR, args
+        assert "dirgof: error: argument --workers: expected int <= 1" in capsys.readouterr().err
+        assert not out.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert run_main(*trace, "--h-grid", "0.5", "--workers", "1", "--out", str(out)) == 0
+
+
 @pytest.mark.parametrize("command", ["test", "trace", "qqcheck"])
 def test_bandwidths_out_of_range_are_data_errors(tmp_path, capsys, command):
     """Bandwidths whose square overflows or underflows exit 2 from every

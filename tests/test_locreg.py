@@ -354,15 +354,26 @@ def test_weight_rows_match_per_node_least_squares(q, degree, rng):
 
 
 def test_in_place_kernel_matrix_is_bit_identical_to_the_formula(rng):
-    """The gaps are scaled in place on the product's array: the same IEEE
-    operations as L((1 - nodes @ X^T) / h^2), floored at WEIGHT_FLOOR."""
+    """The gaps are scaled in place on the product's array, or on a given
+    ``out``: the same IEEE operations as L((1 - nodes @ X^T) / h^2), floored
+    at WEIGHT_FLOOR, for the von Mises kernel and for a custom one."""
     predictors = sample_uniform(2, 120, rng)
     nodes = sample_uniform(2, 300, rng)
+    custom = directional_kernel(lambda r: np.exp(-2.0 * r), decay=(1.0, 2.0), tag="fast")
+    out = np.empty((len(nodes), len(predictors)))
     for h in np.geomspace(0.04, 1.5, 20):
         cfg = locreg.LocalFitConfig(degree=0, bandwidth=float(h))
         expected = cfg.kernel((1.0 - nodes @ predictors.T) / h**2)
         expected[expected < locreg.WEIGHT_FLOOR] = 0.0
         assert np.array_equal(locreg.kernel_weight_matrix(nodes, predictors, cfg), expected)
+        for kernel in (VON_MISES, custom):
+            cfg = locreg.LocalFitConfig(degree=0, bandwidth=float(h), kernel=kernel)
+            expected = kernel((1.0 - nodes @ predictors.T) / h**2)
+            expected[expected < locreg.WEIGHT_FLOOR] = 0.0
+            out.fill(np.nan)
+            assert locreg.kernel_weight_matrix(nodes, predictors, cfg, out=out) is out
+            assert np.array_equal(out, expected)
+            assert np.array_equal(locreg.kernel_weight_matrix(nodes, predictors, cfg), expected)
 
 
 def test_fallback_rows_sum_to_one_where_kernel_weights_sit_at_the_floor():
