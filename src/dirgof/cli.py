@@ -47,6 +47,22 @@ _FAMILY_BUILDERS = {
 # an inline scenario's keys: its null, which test reads too, and the rest
 _NULL_KEYS = ("family", "constraint", "theta0")
 _SCENARIO_KEYS = ("design", "noise", "noise_sd", "deviation", "deviation_coef")
+# the commands that read each flag some command ignores; the bandwidth pair,
+# the inline-scenario keys and --sigma2 have their own checks in _validate.
+# test accepts --workers unread, so one pool size may go to every command
+_READERS = {
+    "data": ("test",), "hypothesis": ("test",), "B": ("test", "trace", "power"),
+    "scenario": ("trace", "power", "qqcheck"), "n": ("trace", "power", "qqcheck"),
+    "M": ("trace", "power", "qqcheck"), "alpha_list": ("trace", "power"), "local_alt": ("power",),
+}
+# the default of each flag that has one, applied once the flags as given pass _validate
+_DEFAULTS = {
+    "n": 100, "M": 500, "B": 200, "p": 0, "seed": 0, "workers": 1,
+    "alpha_list": "0.01,0.05,0.10", "family": "linear", "hypothesis": "composite",
+    "noise": "hom", "noise_sd": 0.5, "deviation": "none", "deviation_coef": 0.0,
+    # 20 log-spaced bandwidths, at the 6 significant digits a trace writes
+    "h_grid": ",".join(f"{v:.6g}" for v in np.geomspace(0.1, 1.5, 20)),
+}
 
 
 class DataError(ValueError):
@@ -104,49 +120,43 @@ def _build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         help="design density: a named model (M1, M4s, M12s, M20s, M16s) or "
         "mixture components 'weight:kappa:mu1,..,mud; ...'",
     )
-    parser.add_argument("--noise", choices=["hom", "het"], help="noise model (custom; hom)")
+    parser.add_argument("--noise", choices=["hom", "het"], help="noise model of a custom scenario")
+    parser.add_argument("--noise-sd", type=_number(float), help="noise sd of a custom scenario")
     parser.add_argument(
-        "--noise-sd", type=_number(float), help="homoscedastic noise sd (custom; 0.5)"
+        "--deviation", choices=["none", "d1", "d2"], help="deviation shape of a custom scenario"
     )
     parser.add_argument(
-        "--deviation", choices=["none", "d1", "d2"], help="deviation shape (custom; none)"
-    )
-    parser.add_argument(
-        "--deviation-coef", type=_number(float), help="deviation coefficient (custom; 0)"
+        "--deviation-coef", type=_number(float), help="deviation coefficient of a custom scenario"
     )
     parser.add_argument(
         "--q", type=_number(int, 1), help="sphere dimension (scenarios default to 1)"
     )
-    parser.add_argument(
-        "--n", type=_number(int, 1), default=100, help="sample size per Monte Carlo trial"
-    )
-    parser.add_argument("--p", type=int, choices=[0, 1], default=0, help="local fit degree")
+    parser.add_argument("--n", type=_number(int, 1), help="sample size per Monte Carlo trial")
+    parser.add_argument("--p", type=int, choices=[0, 1], help="local fit degree")
     parser.add_argument("--h", type=_number(float), help="bandwidth")
-    parser.add_argument("--h-grid", help="comma separated bandwidth grid")
-    parser.add_argument("--B", type=_number(int, 1), default=200, help="bootstrap replicates")
-    parser.add_argument("--M", type=_number(int, 1), default=500, help="Monte Carlo trials")
-    parser.add_argument(
-        "--alpha-list", default="0.01,0.05,0.10", help="comma separated significance levels"
-    )
+    parser.add_argument("--h-grid", help="comma separated bandwidth grid (default 20 "
+                        "log-spaced bandwidths in [0.1, 1.5])")
+    parser.add_argument("--B", type=_number(int, 1), help="bootstrap replicates")
+    parser.add_argument("--M", type=_number(int, 1), help="Monte Carlo trials")
+    parser.add_argument("--alpha-list", help="comma separated significance levels")
     parser.add_argument("--quad-res", type=_number(int, 8), help="quadrature resolution")
-    parser.add_argument("--seed", type=int, default=0, help="root seed")
-    parser.add_argument("--workers", type=_number(int, 1), default=1, help="parallel workers")
+    parser.add_argument("--seed", type=int, help="root seed")
+    parser.add_argument("--workers", type=_number(int, 1), help="parallel workers")
     parser.add_argument("--out", help="output path (JSON for test, CSV otherwise)")
-    parser.add_argument(
-        "--family", choices=sorted(_FAMILY_BUILDERS), help="null family (default linear)"
-    )
+    parser.add_argument("--family", choices=sorted(_FAMILY_BUILDERS), help="null family")
     parser.add_argument("--constraint", help="CSV of the constraint matrix rows")
-    parser.add_argument(
-        "--hypothesis", choices=["composite", "simple"], help="null type (test; composite)"
-    )
+    parser.add_argument("--hypothesis", choices=["composite", "simple"], help="null type of test")
     parser.add_argument("--theta0", help="comma separated parameter (simple null; custom truth)")
     parser.add_argument(
-        "--sigma2", type=_number(float), help="noise variance (qqcheck --scenario QQ; default 0.5)"
+        "--sigma2", type=_number(float), help="noise variance (qqcheck --scenario QQ; preset 0.5)"
     )
     parser.add_argument(
         "--local-alt", nargs="?", const=True, default=False, type=_yes_no,
         help="scale the deviation at the critical drift rate (power)",
     )
+    for action in parser._actions:
+        if action.dest in _DEFAULTS and action.dest != "h_grid":
+            action.help += f" (default {_DEFAULTS[action.dest]})"
     return parser
 
 
@@ -212,10 +222,14 @@ def _validate(cfg: dict) -> dict:
         raise DataError("--command is required (test, trace, power or qqcheck)")
     if cfg["out"] is None:
         raise DataError("--out is required")
-    if cfg["seed"] < 0:  # numpy seeds are non-negative; _merge reads any int
+    for key, readers in _READERS.items():  # unset is None, and False for --local-alt: 0 is set
+        if cfg[key] is not None and cfg[key] is not False and cfg["command"] not in readers:
+            flag = "--" + key.replace("_", "-")
+            raise DataError(f"{flag} applies to {', '.join(readers)} only, not {cfg['command']}")
+    if cfg["seed"] is not None and cfg["seed"] < 0:  # numpy seeds are non-negative
         raise DataError(f"argument --seed: expected int >= 0, got {cfg['seed']}")
     cpus = os.cpu_count() or 1  # each worker holds a trial's arrays
-    if cfg["workers"] > cpus:
+    if cfg["workers"] is not None and cfg["workers"] > cpus:
         raise DataError(f"argument --workers: expected int <= {cpus} (CPUs), got {cfg['workers']}")
     for path_key in ("data", "constraint"):
         if cfg[path_key] is not None and not Path(cfg[path_key]).is_file():
@@ -237,21 +251,14 @@ def _validate(cfg: dict) -> dict:
     for key in unread:
         if cfg[key] is not None:
             raise DataError(f"--{key.replace('_', '-')} applies to --scenario custom only")
-    if cfg["hypothesis"] is not None and cfg["command"] != "test":
-        raise DataError(f"--hypothesis applies to test only, not {cfg['command']}")
     if cfg["command"] == "test" and cfg["theta0"] is not None and cfg["hypothesis"] != "simple":
         raise DataError("test reads --theta0 under --hypothesis simple only")
     if one_h and cfg["h"] is None:
         raise DataError(f"{cfg['command']} needs --h")
-    if cfg["local_alt"] and cfg["command"] != "power":
-        raise DataError(f"--local-alt applies to power only, not {cfg['command']}")
     if cfg["sigma2"] is not None and (cfg["command"], cfg["scenario"]) != ("qqcheck", "QQ"):
         hint = "; custom scenarios take --noise-sd" if cfg["scenario"] == "custom" else ""
         raise DataError(f"--sigma2 applies to qqcheck --scenario QQ only{hint}")
-    if cfg["command"] in ("trace", "power") and cfg["h_grid"] is None:
-        # default grid per the suite conventions: 20 log-spaced bandwidths
-        cfg["h_grid"] = ",".join(f"{v:.6g}" for v in np.geomspace(0.1, 1.5, 20))
-    return cfg
+    return cfg | {key: value for key, value in _DEFAULTS.items() if cfg[key] is None}
 
 
 def _read_data_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +297,7 @@ def _read_data_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _family_from_config(cfg: dict, q: int) -> parfit.ParametricFamily:
-    family = cfg["family"] or "linear"
+    family = cfg["family"]
     if cfg["constraint"] is not None and family != "constrained-linear":
         raise DataError("--constraint applies to --family constrained-linear only")
     constraint = None
@@ -374,9 +381,7 @@ def _scenario_from_config(cfg: dict) -> simsuite.Scenario:
     design = _parse_design(cfg["design"], q) if cfg["design"] else None
     if design is None:
         raise DataError("custom scenarios need --design")
-    # the defaults of the keys that only a custom scenario reads
-    noise_sd = 0.5 if cfg["noise_sd"] is None else cfg["noise_sd"]
-    if noise_sd <= 0:
+    if cfg["noise_sd"] <= 0:
         raise DataError("noise-sd must be positive")
     return simsuite.Scenario(
         id="custom",
@@ -384,10 +389,10 @@ def _scenario_from_config(cfg: dict) -> simsuite.Scenario:
         family=family,
         theta0=theta0,
         design=design,
-        noise=cfg["noise"] or "hom",
-        deviation=None if cfg["deviation"] in (None, "none") else cfg["deviation"],
-        deviation_coef=0.0 if cfg["deviation_coef"] is None else cfg["deviation_coef"],
-        noise_sd=noise_sd,
+        noise=cfg["noise"],
+        deviation=None if cfg["deviation"] == "none" else cfg["deviation"],
+        deviation_coef=cfg["deviation_coef"],
+        noise_sd=cfg["noise_sd"],
     )
 
 

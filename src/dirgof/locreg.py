@@ -76,11 +76,6 @@ class LocalFit:
     regularized: bool = False
 
 
-def kernel_weights(x, predictors, cfg: LocalFitConfig) -> np.ndarray:
-    """Raw kernel values L((1 - x.X_i)/h^2); denormals are clamped to zero."""
-    return kernel_weight_matrix(np.asarray(x, dtype=float)[None], predictors, cfg)[0]
-
-
 def kernel_weight_matrix(nodes, predictors, cfg: LocalFitConfig, out=None) -> np.ndarray:
     """Raw kernel values between evaluation points (rows) and the sample; the
     scaled gaps ``(1 - nodes @ predictors.T) / h^2`` are formed in place, in

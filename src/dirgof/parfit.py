@@ -153,11 +153,6 @@ def constrained_linear_family(constraint: np.ndarray, q: int) -> ParametricFamil
     )
 
 
-def constrained_slope(family: ParametricFamily, theta) -> np.ndarray:
-    """Map a constrained-linear parameter back to the ambient slope vector."""
-    return family.meta["null_basis"] @ np.asarray(theta, dtype=float)[1:]
-
-
 def trig_family(q: int) -> ParametricFamily:
     """m(x) = c + a sin(2 pi x_2) + b cos(2 pi x_1); linear in (c, a, b)."""
     if q < 1:

@@ -11,16 +11,28 @@ solve, against which they compare the closed-form linear fits; and the
 paper's closed forms that only check simulations: smoothing known model
 values, the equivalent-kernel estimate, the leading bias and variance, the
 tangent-normal decomposition of a sphere point, and the kernel density
-estimate, against which they compare the density factor of the node cache.
+estimate, against which they compare the density factor of the node cache;
+and two closed forms that only the tests read: the kernel values at one point
+and the ambient slope of a constrained-linear parameter.
 """
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from dirgof.kernels import VON_MISES, DirectionalKernel, kernel_constants, normalizing_constant
-from dirgof.locreg import MOMENT_GATE, LocalFitConfig, kernel_weights
-from dirgof.parfit import ThetaEstimate, predict_batch
+from dirgof.locreg import MOMENT_GATE, LocalFitConfig, kernel_weight_matrix
+from dirgof.parfit import ParametricFamily, ThetaEstimate, predict_batch
 from dirgof.sphere import projection_basis, tangent_bases
+
+
+def kernel_weights(x, predictors, cfg: LocalFitConfig) -> np.ndarray:
+    """Raw kernel values L((1 - x.X_i)/h^2); denormals are clamped to zero."""
+    return kernel_weight_matrix(np.asarray(x, dtype=float)[None], predictors, cfg)[0]
+
+
+def constrained_slope(family: ParametricFamily, theta) -> np.ndarray:
+    """Map a constrained-linear parameter back to the ambient slope vector."""
+    return family.meta["null_basis"] @ np.asarray(theta, dtype=float)[1:]
 
 
 def circular_local_linear(

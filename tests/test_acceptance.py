@@ -43,7 +43,7 @@ def test_criterion_1_exact_algebra(rng):
                 weights = locreg.local_weights(x, predictors, cfg)
                 assert abs(weights.sum() - 1.0) < 1e-10
                 if degree == 0:
-                    raw = locreg.kernel_weights(x, predictors, cfg)
+                    raw = oracles.kernel_weights(x, predictors, cfg)
                     assert np.max(np.abs(weights - raw / raw.sum())) < 1e-14
 
         # degree 1 reproduces projected-linear functions

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,13 @@ def write_sample_csv(path, scenario_id="S2", q=1, n=100, seed=17):
 
 def run_main(*args):
     return cli.main(list(args))
+
+
+def size_flags(command, n, M, B):
+    """--n, --M and --B, each only where ``command`` reads it."""
+    return {"test": ["--B", B], "qqcheck": ["--n", n, "--M", M]}.get(
+        command, ["--n", n, "--M", M, "--B", B]
+    )
 
 
 def test_cmd_test_contract(tmp_path):
@@ -255,8 +263,9 @@ def test_local_alt_flag_and_file_line(tmp_path):
     "preset", sorted((Path(__file__).parents[1] / "scripts" / "presets").glob("*.cfg")),
     ids=lambda path: path.stem,
 )
-def test_preset_config_matches_flags(preset):
-    """A config file merges to the same run as the flags its lines spell."""
+def test_preset_config_matches_flags(preset, monkeypatch):
+    """A config file merges to the same run as the flags its lines spell,
+    and that run reads every key the file sets."""
     flags = []
     for line in preset.read_text().splitlines():
         line = line.split("#", 1)[0].strip()
@@ -268,6 +277,18 @@ def test_preset_config_matches_flags(preset):
     assert from_file.pop("config") == str(preset)
     assert from_flags.pop("config") is None
     assert from_file == from_flags
+    # the full-scale preset asks for 4 workers, more CPUs than a small machine has
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    cli._validate(cli._merge(["--config", str(preset), "--out", "o.csv"]))
+
+
+def test_help_states_every_default():
+    """--help gives each default from the table that applies it, the grid in words."""
+    text = " ".join(cli._build_parser().format_help().split())
+    for key, value in cli._DEFAULTS.items():
+        stated = "20 log-spaced bandwidths in [0.1, 1.5]" if key == "h_grid" else value
+        flag = "--" + key.replace("_", "-")
+        assert re.search(rf"{flag} \S+ [^()]*\(default {re.escape(str(stated))}\)", text), key
 
 
 def test_custom_inline_scenario(tmp_path):
@@ -578,8 +599,9 @@ def test_linalg_errors_are_numeric_failures(tmp_path, capsys, monkeypatch, comma
     monkeypatch.setattr(goftest, "streamed_statistic", fail)
     data, out = tmp_path / "d.csv", tmp_path / "o"
     write_sample_csv(data, n=30)
-    rc = run_main("--command", command, "--data", str(data), "--n", "30", "--M", "2",
-                  "--B", "5", *extra, "--out", str(out))
+    data_flag = ["--data", str(data)] if command == "test" else []
+    rc = run_main("--command", command, *data_flag, *size_flags(command, "30", "2", "5"),
+                  *extra, "--out", str(out))
     assert rc == cli.EXIT_NUMERIC_ERROR
     assert "dirgof: numeric failure: SVD did not converge" in capsys.readouterr().err
     assert not out.exists()
@@ -661,8 +683,9 @@ def test_overflows_inside_the_ranges_name_their_cause(tmp_path, capsys, command,
     no RuntimeWarning on the way."""
     data, out = tmp_path / "d.csv", tmp_path / "o"
     write_sample_csv(data, q=q, n=30)
-    rc = run_main("--command", command, "--data", str(data), "--q", str(q), "--n", "30",
-                  "--M", "2", "--B", "5", *extra, "--out", str(out))
+    data_flag = ["--data", str(data)] if command == "test" else []
+    rc = run_main("--command", command, *data_flag, "--q", str(q),
+                  *size_flags(command, "30", "2", "5"), *extra, "--out", str(out))
     assert rc == cli.EXIT_NUMERIC_ERROR
     err = capsys.readouterr().err
     assert err.startswith("dirgof: numeric failure:")
@@ -718,17 +741,32 @@ def test_largest_bandwidths_run_at_q4(tmp_path):
         (["--command", "trace", "--scenario", "custom", "--family", "constant", "--theta0", "1",
           "--design", "M1", "--h-grid", "0.5", "--constraint", "{csv}"],
          "--constraint applies to --family constrained-linear only"),
+        # flags with a default, and the input each command takes its data from
+        *[(["--command", "test", "--data", "{data}", "--h", "0.5", flag, value],
+           f"{flag} applies to {readers} only, not test")
+          for flag, value, readers in (("--n", "7", "trace, power, qqcheck"),
+                                       ("--M", "3", "trace, power, qqcheck"),
+                                       ("--alpha-list", "0.2", "trace, power"),
+                                       ("--scenario", "S3", "trace, power, qqcheck"))],
+        (["--command", "qqcheck", "--scenario", "QQ", "--h", "0.5", "--B", "7"],
+         "--B applies to test, trace, power only, not qqcheck"),
+        (["--command", "qqcheck", "--scenario", "QQ", "--h", "0.5", "--data", "{data}"],
+         "--data applies to test only, not qqcheck"),
+        (["--command", "trace", "--scenario", "S1", "--h-grid", "0.5", "--data", "{data}"],
+         "--data applies to test only, not trace"),
     ],
 )
 def test_flags_a_command_ignores_are_refused(tmp_path, capsys, args, message):
-    """A bandwidth flag, null flag or scenario key that the command would
-    not read exits 2 naming it, rather than running as if it were absent."""
+    """A bandwidth flag, null flag, scenario key, size flag or input that
+    the command would not read exits 2 naming it, rather than running as if
+    it were absent."""
     data, csv_path, out = tmp_path / "d.csv", tmp_path / "c.csv", tmp_path / "o"
     write_sample_csv(data, n=30)
     csv_path.write_text("1,0,0\n")
     paths = {"{data}": str(data), "{csv}": str(csv_path)}
     args = [paths.get(arg, arg) for arg in args]
-    assert run_main(*args, "--n", "30", "--M", "1", "--B", "5", "--out", str(out)) == 2
+    sizes = size_flags(args[args.index("--command") + 1], "30", "1", "5")
+    assert run_main(*args, *sizes, "--out", str(out)) == 2
     assert f"dirgof: error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -786,6 +824,7 @@ def test_cli_refusals_name_the_input(tmp_path, capsys, args, content, message):
         csv_path.write_text(content)
     paths = {"{out}": str(out), "{data}": str(data), "{csv}": str(csv_path)}
     args = [paths.get(arg, arg.replace("{tmp}", str(tmp_path))) for arg in args]
-    assert run_main(*args, "--n", "30", "--M", "1", "--B", "5") == cli.EXIT_DATA_ERROR
+    sizes = size_flags(args[args.index("--command") + 1], "30", "1", "5")
+    assert run_main(*args, *sizes) == cli.EXIT_DATA_ERROR
     assert f"dirgof: error: {message}" in capsys.readouterr().err.replace(f"{csv_path}: ", "")
     assert not out.exists()

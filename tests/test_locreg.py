@@ -34,7 +34,7 @@ def test_local_constant_symmetric_pair():
 def test_local_constant_is_kernel_ratio(rng):
     x, predictors, _ = random_instance(rng, 2, 40)
     cfg = locreg.LocalFitConfig(degree=0, bandwidth=0.4)
-    raw = locreg.kernel_weights(x, predictors, cfg)
+    raw = oracles.kernel_weights(x, predictors, cfg)
     assert np.allclose(
         locreg.local_weights(x, predictors, cfg), raw / raw.sum(), atol=1e-15
     )
@@ -114,7 +114,7 @@ def test_basis_choice_invariance(rng):
     cfg = locreg.LocalFitConfig(degree=1, bandwidth=0.5)
     base = projection_basis(x).columns
     rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    sw = np.sqrt(locreg.kernel_weights(x, predictors, cfg))
+    sw = np.sqrt(oracles.kernel_weights(x, predictors, cfg))
     design = np.column_stack([np.ones(80), (predictors - x) @ (base @ rotation)])
     # weighted least squares on the rotated-basis design, one unit response per column
     coef_rot = np.linalg.lstsq(design * sw[:, None], np.diag(sw), rcond=None)[0]
@@ -154,7 +154,7 @@ def test_overparametrized_tangent_design_agrees(rng):
     cfg = locreg.LocalFitConfig(degree=1, bandwidth=0.2)
     for a in (0.3, 2.1, 4.4):
         x = circle(a)[0]
-        w = locreg.kernel_weights(x, predictors, cfg)
+        w = oracles.kernel_weights(x, predictors, cfg)
         dots = np.clip(predictors @ x, -1.0, 1.0)
         eta = np.arccos(dots)
         sin_eta = np.sqrt(np.clip(1.0 - dots**2, 0.0, None))
@@ -305,7 +305,7 @@ def reference_rows(nodes, predictors, cfg):
     takes the local-constant row."""
     rows, flags = [], []
     for x in nodes:
-        w = locreg.kernel_weights(x, predictors, cfg)
+        w = oracles.kernel_weights(x, predictors, cfg)
         if cfg.degree == 0:
             rows.append(w / w.sum())
             flags.append(False)
@@ -510,7 +510,7 @@ def test_single_point_fits_are_the_stacked_qr_rows(rng):
             picked = np.flatnonzero(kind)
             for x in nodes[picked[:: len(picked) // 4 + 1]]:
                 ref_rows, ref_flags = oracles.stacked_qr_weight_rows(
-                    x[None], predictors, locreg.kernel_weights(x, predictors, cfg)[None]
+                    x[None], predictors, oracles.kernel_weights(x, predictors, cfg)[None]
                 )
                 fit = locreg.estimate(x, predictors, responses, cfg)
                 assert np.array_equal(locreg.local_weights(x, predictors, cfg), ref_rows[0])
