@@ -12,7 +12,11 @@ slice of ``GRAM_SLICE`` nodes at a time (per block of ``locreg.NODE_BLOCK``)
 into one reused (GRAM_SLICE, n) buffer and folded into the statistic as each
 slice is built: no test call or trace bandwidth holds an (m, n) array, and
 each block's kernel values come straight from its nodes.  ``node_cache``
-collects the same slices into the rows for callers that want them.
+collects the same slices into the rows for callers that want them.  The
+Gram matrix, the form over the residual rows and the degree-0 rows are cut
+into two fixed lanes (``_Lanes``): a helper thread runs the second where
+the process may use two CPUs and BLAS runs one thread, and the cut never
+depends on whether it runs.
 
 Calibration follows a residual wild bootstrap with golden-section
 multipliers: resampled responses are the parametric fit plus residuals
@@ -25,7 +29,10 @@ the bandwidth, so a bandwidth grid shares one ``null_bootstrap``.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 from math import inf, sqrt
 from typing import Callable
 
@@ -50,6 +57,13 @@ MAX_FAILED_REPLICATE_FRACTION = 0.05
 # nodes per slice of the Gram matrix; coarse, as a syrk over fewer nodes runs
 # slower per flop (S1's 2304 x 500 rows: 5-9 % slower as 2048 + 256 nodes)
 GRAM_SLICE = 8 * locreg.NODE_BLOCK
+# residual rows per product of the form; a product over fewer rows runs
+# slower per flop (S1's 1001 x 500 block: 3.5 % at 128 rows, 1.5 % at 256)
+FORM_ROWS = 256
+# the BLAS thread counts a helper thread needs at 1: a BLAS that runs its own
+# threads already fills the cores (an S1 trial at two OpenBLAS threads took a
+# median 0.360 s with the helper, 0.316 s without)
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def default_resolution(q: int, fit: LocalFitConfig | None = None) -> int:
@@ -163,40 +177,210 @@ def _node_slices(predictors, cfg: GofConfig, flags, means):
     kernel_block = np.empty((min(m, locreg.NODE_BLOCK), len(predictors))) if cfg.fit.degree else None
     for part in locreg.node_blocks(m, GRAM_SLICE):
         rows = buffer[: len(nodes[part])]
-        for block in locreg.node_blocks(len(rows)):
-            at = slice(part.start + block.start, part.start + block.stop)
-            into = rows[block] if kernel_block is None else kernel_block[: len(rows[block])]
-            raw = locreg.kernel_weight_matrix(nodes[at], predictors, cfg.fit, out=into)
-            means[at] = raw.mean(axis=1)
-            flags[at] = locreg.weight_rows(
-                nodes[at], predictors, cfg.fit, raw=raw, out=rows[block]
-            )[1]
+        blocks = [slice(part.start + b.start, part.start + b.stop)
+                  for b in locreg.node_blocks(len(rows))]
+        fill = partial(_fill_rows, nodes, predictors, cfg.fit, rows, part.start, kernel_block,
+                       flags, means)
+        if kernel_block is None:  # degree 0: the lanes take alternate blocks
+            _LANES.run(partial(fill, blocks[0::2]), partial(fill, blocks[1::2]))
+        else:  # degree-1 rows run Python between their numpy calls, so two
+            fill(blocks)  # threads would wait on each other for the interpreter
         yield part, rows, cfg.quadrature.weights[part] * (norm * means[part]) * wvals[part]
     if not means.any():
         raise locreg.SingularGramError(f"all {m} nodes have all-zero kernel weights")
 
 
+def _fill_rows(nodes, predictors, fit, rows, offset, kernel_block, flags, means, blocks) -> None:
+    """Weight rows of the rule's node ``blocks`` into ``rows``, whose first
+    row is node ``offset``, with their fallback flags and mean kernel values;
+    degree 1 forms the kernel values in ``kernel_block``."""
+    for at in blocks:
+        block = slice(at.start - offset, at.stop - offset)
+        into = rows[block] if kernel_block is None else kernel_block[: len(rows[block])]
+        raw = locreg.kernel_weight_matrix(nodes[at], predictors, fit, out=into)
+        means[at] = raw.mean(axis=1)
+        flags[at] = locreg.weight_rows(nodes[at], predictors, fit, raw=raw, out=rows[block])[1]
+
+
+class _Lanes:
+    """Two fixed lanes of work: the calling thread runs the first, and one
+    persistent helper thread the second when a core is left idle
+    (``_core_left_idle``); otherwise the calling thread runs the second after
+    the first.  The lanes write only through arrays their caller allocated,
+    so what they compute never depends on which thread runs them.
+    ``helper`` forces the choice; ``None`` leaves it to the first call.  A
+    caller that finds the helper busy runs both lanes itself; a forked child
+    starts its own helper."""
+
+    def __init__(self, helper: bool | None = None):
+        self.helper = helper
+        self._lock = threading.Lock()  # one caller at a time hands work over
+        self._pid = None  # the process whose helper serves ``_handoff``
+
+    def run(self, first: Callable[[], None], second: Callable[[], None]) -> None:
+        """``first()`` and ``second()``, both finished on return; an error of
+        the first lane is raised before one of the second, as run in order."""
+        if not self._claim():
+            first()
+            second()
+            return
+        start, finish, slot = self._handoff
+        slot[:] = [second, None]
+        try:
+            start.release()
+            try:
+                first()
+            finally:
+                self._pid = None  # a wait cut short abandons this helper
+                finish.acquire()
+                self._pid = os.getpid()
+            if slot[1] is not None:
+                raise slot[1]
+        finally:
+            slot[:] = [None, None]
+            self._lock.release()
+
+    def _claim(self) -> bool:
+        if self.helper is None:
+            self.helper = _core_left_idle()
+        if not self.helper or not self._lock.acquire(blocking=False):
+            return False
+        if self._pid != os.getpid():
+            self._handoff = (threading.Semaphore(0), threading.Semaphore(0), [None, None])
+            helper = threading.Thread(
+                target=_serve, args=(*self._handoff, _current_cpu()), name="dirgof-lane-1"
+            )
+            helper.daemon = True  # it waits for work for the life of the process
+            helper.start()
+            self._pid = os.getpid()
+        return True
+
+
+def _core_left_idle() -> bool:
+    """Whether the process may use two CPUs while BLAS runs one thread: every
+    variable of ``BLAS_THREAD_VARIABLES`` that is set says 1, and one is."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    counts = [os.environ[name].strip() for name in BLAS_THREAD_VARIABLES if name in os.environ]
+    return cpus >= 2 and bool(counts) and all(count == "1" for count in counts)
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread runs on, where Linux says (field 39 of its
+    stat), else None."""
+    try:
+        with open("/proc/thread-self/stat") as stat:
+            return int(stat.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _serve(start, finish, slot, caller_cpu) -> None:
+    """The helper's loop: run ``slot[0]`` per release of ``start``, keep its
+    error in ``slot[1]`` for the caller to raise, release ``finish``.
+
+    It first steps off ``caller_cpu`` and back to its full CPU mask: a
+    scheduler that wakes a thread on the core it last ran on, idle siblings
+    or not, would otherwise keep a helper that started on the caller's core
+    there, and the lanes would take turns (on a 2-vCPU VM, one of three
+    helpers started without the step shared the caller's core all along).
+    """
+    try:
+        allowed = os.sched_getaffinity(0)
+        if caller_cpu in allowed and len(allowed) > 1:
+            os.sched_setaffinity(0, allowed - {caller_cpu})
+            os.sched_setaffinity(0, allowed)
+    except (AttributeError, OSError):  # no affinity calls here: start where placed
+        pass
+    while True:
+        start.acquire()
+        try:
+            slot[0]()
+        except BaseException as exc:  # handed to the caller, which raises it
+            slot[1] = exc
+        finish.release()
+
+
+_LANES = _Lanes()
+
+
+def use_one_lane() -> None:
+    """Run both lanes on the calling thread from now on, in this process: a
+    pool worker calls it, so that N workers keep N cores busy, not 2 N."""
+    _LANES.helper = False
+
+
 def _quadratic_form(slices, m: int, residuals) -> np.ndarray | float:
     """``statistic_from_residuals`` summed over ``slices`` of m nodes in all;
-    the Gram form scales the rows it is handed in place."""
+    the Gram form scales the rows it is handed in place.
+
+    The Gram form has each lane scale half of a slice's nodes, then cuts the
+    n columns of the scaled rows at a = n/√2, S = [S1 S2]: lane 0 takes the
+    syrk S1ᵀS1, lane 1 S2ᵀS1 and the syrk S2ᵀS2.  The form cuts the residual
+    rows at half, and each lane takes its half in products of at most
+    ``FORM_ROWS`` rows.  The cut depends only on (m, n, r).
+    """
     residuals = np.asarray(residuals, dtype=float)
     n, r = residuals.shape[-1], residuals.shape[0]
-    gram_form = residuals.ndim == 2 and n * (m + 2 * r) < 2 * m * r
-    total, product = None if gram_form else 0.0, None
-    for _, rows, factor in slices:
-        if gram_form:  # S = diag(sqrt(f)) R, and S^T S a syrk
-            rows *= np.sqrt(factor)[:, None]
-            if total is None:  # the first slice's syrk is the total, uncopied
-                total = rows.T @ rows
-            else:
-                total += (product := np.matmul(rows.T, rows, out=product))
-        else:
+    if not (residuals.ndim == 2 and n * (m + 2 * r) < 2 * m * r):
+        total = 0.0
+        for _, rows, factor in slices:
             total += factor @ (rows @ residuals.T) ** 2
-    rows = None  # the slice buffer dies before the (r, n) product
-    values = np.einsum("bi,bi->b", residuals @ total, residuals) if gram_form else total
+        _check_finite(total)
+        return float(total) if residuals.ndim == 1 else total
+    # S = diag(sqrt(f)) R; a = n/√2 gives both lanes as many flops, and they
+    # write the blocks below the diagonal, of the total or of one product
+    a = round(n / sqrt(2.0))
+    for k, (_, rows, factor) in enumerate(slices):
+        if k == 0:
+            total, product = np.empty((n, n)), None
+        elif k == 1:
+            product = np.empty((n, n))
+        root, half = np.sqrt(factor)[:, None], (len(rows) + 1) // 2
+        _LANES.run(
+            partial(np.multiply, rows[:half], root[:half], out=rows[:half]),
+            partial(np.multiply, rows[half:], root[half:], out=rows[half:]),
+        )
+        _LANES.run(*(partial(_gram_blocks, rows, a, lane, total, product) for lane in (0, 1)))
+    total[:a, a:] = total[a:, :a].T
+    rows = product = None  # the slice buffer dies before the form
+    cut = (r + 1) // 2
+    values, products = np.empty(r), np.empty((2, min(FORM_ROWS, cut), n))
+    _LANES.run(
+        partial(_form_into, residuals[:cut], total, products[0], values[:cut]),
+        partial(_form_into, residuals[cut:], total, products[1], values[cut:]),
+    )
+    return values
+
+
+def _gram_blocks(rows, a, lane, total, product) -> None:
+    """Lane 0's block S1ᵀS1 or lane 1's S2ᵀS1 and S2ᵀS2 of SᵀS, S = ``rows``
+    = [S1 S2] cut at column ``a``, into ``total``; with a ``product``, into
+    it and then added to ``total``."""
+    first, second = slice(0, a), slice(a, None)
+    blocks = [(first, first)] if lane == 0 else [(second, first), (second, second)]
+    into = total if product is None else product
+    for block in blocks:
+        np.matmul(rows[:, block[0]].T, rows[:, block[1]], out=into[block])
+        if product is not None:
+            total[block] += product[block]
+
+
+def _form_into(residuals, total, products, values) -> None:
+    """``values`` = e G eᵀ for each row e of ``residuals``, ``FORM_ROWS`` rows
+    per product, written through ``products``."""
+    for start in range(0, len(residuals), FORM_ROWS):
+        part = residuals[start : start + FORM_ROWS]
+        product = np.matmul(part, total, out=products[: len(part)])
+        np.einsum("bi,bi->b", product, part, out=values[start : start + FORM_ROWS])
+    _check_finite(values)
+
+
+def _check_finite(values) -> None:
     if not np.all(np.isfinite(values)):
         raise RuntimeError("non-finite statistic: residuals too large to square, or not finite")
-    return float(values) if residuals.ndim == 1 else values
 
 
 def statistic_from_residuals(cache: NodeCache, residuals) -> np.ndarray | float:

@@ -218,13 +218,14 @@ def _run_trials(trial, trials: int, workers: int) -> list:
     """``[trial(i) for i in range(trials)]``, over a process pool when workers > 1.
 
     Each trial seeds its own substream from its index, so the results do
-    not depend on the worker count.
+    not depend on the worker count.  Workers run the statistic's two lanes
+    on one thread each, so ``workers`` is the number of busy cores.
     """
     if workers <= 1:
         return [trial(i) for i in range(trials)]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=goftest.use_one_lane) as pool:
         return list(pool.map(trial, range(trials), chunksize=max(1, trials // (8 * workers))))
 
 

@@ -236,6 +236,28 @@ def test_streamed_test_call_peaks_below_half_a_rows_array():
     assert peak < 0.5 * m * n * 8 + 3e6, peak / (m * n * 8)
 
 
+def lane_cut_gram_form(cache, residuals):
+    """The Gram form in the lanes' cut: per slice, the blocks S1ᵀS1, S2ᵀS1
+    and S2ᵀS2 of the scaled rows S = [S1 S2] cut at column n/√2, added slice
+    by slice; then e G eᵀ per FORM_ROWS rows of each half of the residuals."""
+    n = cache.rows.shape[1]
+    first, second = slice(0, round(n / sqrt(2.0))), slice(round(n / sqrt(2.0)), n)
+    gram = np.empty((n, n))
+    for k, part in enumerate(locreg.node_blocks(len(cache.rows), goftest.GRAM_SLICE)):
+        root = cache.rows[part] * np.sqrt(cache.node_factor[part])[:, None]
+        for block in [(first, first), (second, first), (second, second)]:
+            value = root[:, block[0]].T @ root[:, block[1]]
+            gram[block] = value if k == 0 else gram[block] + value
+    gram[first, second] = gram[second, first].T
+    cut = (len(residuals) + 1) // 2
+    values = []
+    for half in (residuals[:cut], residuals[cut:]):
+        for start in range(0, len(half), goftest.FORM_ROWS):
+            part = half[start : start + goftest.FORM_ROWS]
+            values.append(np.einsum("bi,bi->b", part @ gram, part))
+    return np.concatenate(values)
+
+
 @pytest.mark.parametrize(
     "weight_fn", [None, lambda nodes: 1.0 + nodes[:, 0] ** 2], ids=["unweighted", "weighted"]
 )
@@ -245,9 +267,9 @@ def test_streamed_statistic_matches_the_node_cache(q, resolution, degree, weight
     """The streamed statistic equals statistic_from_residuals(node_cache(...))
     bit for bit in its Gram (100 rows), direct (10 rows) and one-row forms,
     with the same counts; on 256, 5184 (72 x 72) and 4500 nodes.  Against the
-    whole-rule arithmetic it is bit-identical in the Gram form and on rules
-    of at most GRAM_SLICE nodes; a direct form over more nodes sums slice by
-    slice, within 1e-13."""
+    whole-rule arithmetic it is bit-identical in the Gram form, done in the
+    lanes' fixed cut, and on rules of at most GRAM_SLICE nodes; a direct form
+    over more nodes sums slice by slice, within 1e-13."""
     n = 40
     predictors, _ = sample_constant_model(rng, n=n, q=q)
     cfg = goftest.GofConfig(
@@ -266,11 +288,7 @@ def test_streamed_statistic_matches_the_node_cache(q, resolution, degree, weight
         assert (regularized, empty) == (cache.regularized.sum(), cache.empty_count)
         if r == 100:
             assert n * (m + 2 * r) < 2 * m * r
-            gram = 0.0
-            for part in locreg.node_blocks(m, goftest.GRAM_SLICE):
-                root = cache.rows[part] * np.sqrt(cache.node_factor[part])[:, None]
-                gram += root.T @ root
-            np.testing.assert_array_equal(values, np.einsum("bi,bi->b", residuals @ gram, residuals))
+            np.testing.assert_array_equal(values, lane_cut_gram_form(cache, residuals))
             continue
         whole_rule = cache.node_factor @ (cache.rows @ residuals.T) ** 2
         if m <= goftest.GRAM_SLICE:
