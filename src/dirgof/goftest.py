@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from math import inf, sqrt
@@ -209,51 +210,52 @@ class _Lanes:
     the first.  The lanes write only through arrays their caller allocated,
     so what they compute never depends on which thread runs them.
     ``helper`` forces the choice; ``None`` leaves it to the first call.  A
-    caller that finds the helper busy runs both lanes itself; a forked child
-    starts its own helper."""
+    caller that is done with the first lane before the helper has begun the
+    second runs it too, so a helper that waits for a core (busy, or shared
+    with the caller) costs a hand-off, never a wait; a forked child starts
+    its own helper."""
 
     def __init__(self, helper: bool | None = None):
         self.helper = helper
-        self._lock = threading.Lock()  # one caller at a time hands work over
-        self._pid = None  # the process whose helper serves ``_handoff``
+        self._pid = None  # the process whose helper serves ``_jobs``
 
     def run(self, first: Callable[[], None], second: Callable[[], None]) -> None:
         """``first()`` and ``second()``, both finished on return; an error of
         the first lane is raised before one of the second, as run in order."""
-        if not self._claim():
+        if not self._started():
             first()
             second()
             return
-        start, finish, slot = self._handoff
-        slot[:] = [second, None]
+        claim, done = threading.Lock(), threading.Event()
+        job = [second, claim, done, None]  # the lane, who runs it, its end, its error
+        self._jobs.append(job)
+        self._posted.release()
         try:
-            start.release()
-            try:
-                first()
-            finally:
-                self._pid = None  # a wait cut short abandons this helper
-                finish.acquire()
-                self._pid = os.getpid()
-            if slot[1] is not None:
-                raise slot[1]
+            first()
         finally:
-            slot[:] = [None, None]
-            self._lock.release()
+            mine = claim.acquire(blocking=False)  # the helper has not begun it
+            if mine:
+                job[0] = None  # a queued job holds no arrays
+            else:
+                done.wait()
+        if mine:
+            second()
+        elif job[3] is not None:
+            raise job[3]
 
-    def _claim(self) -> bool:
+    def _started(self) -> bool:
         if self.helper is None:
             self.helper = _core_left_idle()
-        if not self.helper or not self._lock.acquire(blocking=False):
-            return False
-        if self._pid != os.getpid():
-            self._handoff = (threading.Semaphore(0), threading.Semaphore(0), [None, None])
+        if self.helper and self._pid != os.getpid():
+            self._jobs, self._posted = deque(), threading.Semaphore(0)
             helper = threading.Thread(
-                target=_serve, args=(*self._handoff, _current_cpu()), name="dirgof-lane-1"
+                target=_serve, args=(self._jobs, self._posted, _current_cpu()),
+                name="dirgof-lane-1",
             )
             helper.daemon = True  # it waits for work for the life of the process
             helper.start()
             self._pid = os.getpid()
-        return True
+        return self.helper
 
 
 def _core_left_idle() -> bool:
@@ -277,15 +279,16 @@ def _current_cpu() -> int | None:
         return None
 
 
-def _serve(start, finish, slot, caller_cpu) -> None:
-    """The helper's loop: run ``slot[0]`` per release of ``start``, keep its
-    error in ``slot[1]`` for the caller to raise, release ``finish``.
+def _serve(jobs, posted, caller_cpu) -> None:
+    """The helper's loop: per release of ``posted``, take the next job of
+    ``jobs`` and run its second lane unless the caller has taken it back;
+    keep its error for the caller to raise.
 
     It first steps off ``caller_cpu`` and back to its full CPU mask: a
     scheduler that wakes a thread on the core it last ran on, idle siblings
     or not, would otherwise keep a helper that started on the caller's core
-    there, and the lanes would take turns (on a 2-vCPU VM, one of three
-    helpers started without the step shared the caller's core all along).
+    there, and the caller would take back every second lane (on a 2-vCPU VM,
+    18 of 18 helpers started without the step shared the caller's core).
     """
     try:
         allowed = os.sched_getaffinity(0)
@@ -295,12 +298,15 @@ def _serve(start, finish, slot, caller_cpu) -> None:
     except (AttributeError, OSError):  # no affinity calls here: start where placed
         pass
     while True:
-        start.acquire()
-        try:
-            slot[0]()
-        except BaseException as exc:  # handed to the caller, which raises it
-            slot[1] = exc
-        finish.release()
+        posted.acquire()
+        job = jobs.popleft()
+        if job[1].acquire(blocking=False):
+            try:
+                job[0]()
+            except BaseException as exc:  # handed to the caller, which raises it
+                job[3] = exc
+            job[0] = None  # the lane's arrays die with the caller's references
+            job[2].set()
 
 
 _LANES = _Lanes()
@@ -316,8 +322,8 @@ def _quadratic_form(slices, m: int, residuals) -> np.ndarray | float:
     """``statistic_from_residuals`` summed over ``slices`` of m nodes in all;
     the Gram form scales the rows it is handed in place.
 
-    The Gram form has each lane scale half of a slice's nodes, then cuts the
-    n columns of the scaled rows at a = n/√2, S = [S1 S2]: lane 0 takes the
+    The Gram form scales each slice on the calling thread, then cuts the n
+    columns of the scaled rows at a = n/√2, S = [S1 S2]: lane 0 takes the
     syrk S1ᵀS1, lane 1 S2ᵀS1 and the syrk S2ᵀS2.  The form cuts the residual
     rows at half, and each lane takes its half in products of at most
     ``FORM_ROWS`` rows.  The cut depends only on (m, n, r).
@@ -338,11 +344,7 @@ def _quadratic_form(slices, m: int, residuals) -> np.ndarray | float:
             total, product = np.empty((n, n)), None
         elif k == 1:
             product = np.empty((n, n))
-        root, half = np.sqrt(factor)[:, None], (len(rows) + 1) // 2
-        _LANES.run(
-            partial(np.multiply, rows[:half], root[:half], out=rows[:half]),
-            partial(np.multiply, rows[half:], root[half:], out=rows[half:]),
-        )
+        rows *= np.sqrt(factor)[:, None]
         _LANES.run(*(partial(_gram_blocks, rows, a, lane, total, product) for lane in (0, 1)))
     total[:a, a:] = total[a:, :a].T
     rows = product = None  # the slice buffer dies before the form

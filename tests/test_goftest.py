@@ -266,10 +266,11 @@ def lane_cut_gram_form(cache, residuals):
 def test_streamed_statistic_matches_the_node_cache(q, resolution, degree, weight_fn, rng):
     """The streamed statistic equals statistic_from_residuals(node_cache(...))
     bit for bit in its Gram (100 rows), direct (10 rows) and one-row forms,
-    with the same counts; on 256, 5184 (72 x 72) and 4500 nodes.  Against the
-    whole-rule arithmetic it is bit-identical in the Gram form, done in the
-    lanes' fixed cut, and on rules of at most GRAM_SLICE nodes; a direct form
-    over more nodes sums slice by slice, within 1e-13."""
+    with the same counts; on 256, 5184 (72 x 72) and 4500 nodes.  The Gram
+    form is bit-identical to the same sums done in the lanes' fixed cut, and
+    within 1e-13 of one whole-rule syrk and one (r, n) product.  The direct
+    form is bit-identical to the whole-rule arithmetic on rules of at most
+    GRAM_SLICE nodes; over more nodes it sums slice by slice, within 1e-13."""
     n = 40
     predictors, _ = sample_constant_model(rng, n=n, q=q)
     cfg = goftest.GofConfig(
@@ -289,6 +290,9 @@ def test_streamed_statistic_matches_the_node_cache(q, resolution, degree, weight
         if r == 100:
             assert n * (m + 2 * r) < 2 * m * r
             np.testing.assert_array_equal(values, lane_cut_gram_form(cache, residuals))
+            root = cache.rows * np.sqrt(cache.node_factor)[:, None]
+            whole_gram = np.einsum("bi,bi->b", residuals @ (root.T @ root), residuals)
+            np.testing.assert_allclose(values, whole_gram, rtol=1e-13, atol=0)
             continue
         whole_rule = cache.node_factor @ (cache.rows @ residuals.T) ** 2
         if m <= goftest.GRAM_SLICE:

@@ -3,6 +3,8 @@ runs the second, errors as if run in order, and no helper in pool workers."""
 
 import os
 import threading
+import weakref
+from functools import partial
 from math import pi
 
 import numpy as np
@@ -15,10 +17,30 @@ from dirgof.sphere import sample_uniform
 HELPER = "dirgof-lane-1"
 
 
+class _HelperLanes(goftest._Lanes):
+    """Lanes whose first lane waits until the helper, when on, has begun the
+    second, so that the caller never takes the second lane back."""
+
+    def run(self, first, second):
+        if not self.helper:  # a pool worker turned it off
+            return super().run(first, second)
+        begun = threading.Event()
+
+        def first_after_second_began():
+            assert begun.wait(10), "the helper did not begin the second lane"
+            first()
+
+        def second_begins():
+            begun.set()
+            second()
+
+        super().run(first_after_second_began, second_begins)
+
+
 @pytest.fixture(scope="module")
 def helper_lanes():
     """Lanes whose second lane always runs on their helper thread."""
-    return goftest._Lanes(helper=True)
+    return _HelperLanes(helper=True)
 
 
 @pytest.fixture
@@ -103,11 +125,45 @@ def test_lane_errors_reach_the_caller_as_in_order(helper_lanes):
     with pytest.raises(ValueError, match="first"):
         helper_lanes.run(lambda: fail(ValueError("first")), lambda: fail(KeyError("second")))
     assert sorted(ran) == sorted([threading.current_thread().name, HELPER])
-    assert not helper_lanes._lock.locked()
+    assert not helper_lanes._jobs
     done = []
     helper_lanes.run(lambda: done.append(0), lambda: done.append(1))
     assert sorted(done) == [0, 1]
 
+
+def test_caller_takes_back_the_lane_of_a_busy_helper():
+    """A caller that finishes its lane while the helper is busy with another
+    caller's runs the second lane itself, without waiting; the helper then
+    serves the next call."""
+    lanes = _HelperLanes(helper=True)
+    busy, release, ran = threading.Event(), threading.Event(), []
+
+    def occupy():
+        busy.set()
+        assert release.wait(10)
+
+    other = threading.Thread(target=lanes.run, args=(lambda: None, occupy))
+    other.start()
+    assert busy.wait(10)
+    goftest._Lanes.run(lanes, lambda: None, lambda: ran.append(threading.current_thread().name))
+    release.set()
+    other.join(10)
+    lanes.run(lambda: None, lambda: ran.append(threading.current_thread().name))
+    assert ran == [threading.current_thread().name, HELPER]
+
+
+
+def test_lanes_keep_no_array_alive(helper_lanes):
+    """Once ``run`` returns, neither the helper nor a job the caller took
+    back holds the second lane's arrays: a slice buffer kept that way would
+    outlive the Gram form and add its size to a trial's peak memory."""
+    for lanes in (helper_lanes, goftest._Lanes(helper=True)):
+        buffer = np.ones(8)
+        alive = weakref.ref(buffer)
+        lanes.run(lambda: None, partial(np.multiply, buffer, 2.0, out=buffer))
+        assert buffer.sum() == 16.0
+        del buffer
+        assert alive() is None
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU masks here")
 def test_helper_keeps_the_process_cpu_mask(helper_lanes):
@@ -140,7 +196,7 @@ def test_statistic_errors_leave_the_helper_idle(monkeypatch, helper_lanes, lane_
             with pytest.raises(RuntimeError) as raised:
                 goftest.streamed_statistic(*call)
             errors.append((type(raised.value), str(raised.value)))
-        assert not lanes._lock.locked()
+        assert lanes.helper is False or not lanes._jobs
         values.append(goftest.streamed_statistic(predictors, cfg, residuals)[0])
     assert errors[0][0] is RuntimeError and errors[1][0] is SingularGramError
     assert errors[:2] == errors[2:]
