@@ -14,9 +14,9 @@ slice is built: no test call or trace bandwidth holds an (m, n) array, and
 each block's kernel values come straight from its nodes.  ``node_cache``
 collects the same slices into the rows for callers that want them.  The
 Gram matrix, the form over the residual rows and the degree-0 rows are cut
-into two fixed lanes (``_Lanes``): a helper thread runs the second where
-the process may use two CPUs and BLAS runs one thread, and the cut never
-depends on whether it runs.
+into two fixed lanes (``_Lanes``): a helper thread runs the second, while
+the caller runs the first and then waits, where the process may use two
+CPUs and BLAS runs one thread; the cut never depends on whether it runs.
 
 Calibration follows a residual wild bootstrap with golden-section
 multipliers: resampled responses are the parametric fit plus residuals
@@ -206,56 +206,47 @@ def _fill_rows(nodes, predictors, fit, rows, offset, kernel_block, flags, means,
 class _Lanes:
     """Two fixed lanes of work: the calling thread runs the first, and one
     persistent helper thread the second when a core is left idle
-    (``_core_left_idle``); otherwise the calling thread runs the second after
-    the first.  The lanes write only through arrays their caller allocated,
-    so what they compute never depends on which thread runs them.
-    ``helper`` forces the choice; ``None`` leaves it to the first call.  A
-    caller that is done with the first lane before the helper has begun the
-    second runs it too, so a helper that waits for a core (busy, or shared
-    with the caller) costs a hand-off, never a wait; a forked child starts
-    its own helper."""
+    (``_core_left_idle``), while the caller waits for it; otherwise the
+    calling thread runs the second after the first.  The lanes write only
+    through arrays their caller allocated, so what they compute never depends
+    on which thread runs them, and a lane runs no lanes itself.  ``helper``
+    forces the choice; ``None`` leaves it to the first call.  A forked child
+    starts its own helper.  Under one-thread BLAS on two CPUs a
+    ``trace-s1-q2-p0`` trial took 0.376 s with the lanes, 0.487 s without."""
 
     def __init__(self, helper: bool | None = None):
         self.helper = helper
-        self._pid = None  # the process whose helper serves ``_jobs``
+        self._served = (None, None, None)  # (pid, jobs, posted) of that process's helper
 
     def run(self, first: Callable[[], None], second: Callable[[], None]) -> None:
         """``first()`` and ``second()``, both finished on return; an error of
         the first lane is raised before one of the second, as run in order."""
-        if not self._started():
+        if self.helper is None:
+            self.helper = _core_left_idle()
+        if not self.helper:
             first()
             second()
             return
-        claim, done = threading.Lock(), threading.Event()
-        job = [second, claim, done, None]  # the lane, who runs it, its end, its error
-        self._jobs.append(job)
-        self._posted.release()
+        # one read and one write of the triple: two first calls at once each
+        # post to the helper they started, and one of them stays idle
+        pid, jobs, posted = self._served
+        if pid != os.getpid():
+            pid, jobs, posted = os.getpid(), deque(), threading.Semaphore(0)
+            helper = threading.Thread(
+                target=_serve, args=(jobs, posted, _current_cpu()), name="dirgof-lane-1",
+                daemon=True,  # it waits for work for the life of the process
+            )
+            helper.start()
+            self._served = (pid, jobs, posted)
+        job = [second, threading.Event(), None]  # the lane, its end, its error
+        jobs.append(job)
+        posted.release()
         try:
             first()
         finally:
-            mine = claim.acquire(blocking=False)  # the helper has not begun it
-            if mine:
-                job[0] = None  # a queued job holds no arrays
-            else:
-                done.wait()
-        if mine:
-            second()
-        elif job[3] is not None:
-            raise job[3]
-
-    def _started(self) -> bool:
-        if self.helper is None:
-            self.helper = _core_left_idle()
-        if self.helper and self._pid != os.getpid():
-            self._jobs, self._posted = deque(), threading.Semaphore(0)
-            helper = threading.Thread(
-                target=_serve, args=(self._jobs, self._posted, _current_cpu()),
-                name="dirgof-lane-1",
-            )
-            helper.daemon = True  # it waits for work for the life of the process
-            helper.start()
-            self._pid = os.getpid()
-        return self.helper
+            job[1].wait()
+        if job[2] is not None:
+            raise job[2]
 
 
 def _core_left_idle() -> bool:
@@ -280,15 +271,15 @@ def _current_cpu() -> int | None:
 
 
 def _serve(jobs, posted, caller_cpu) -> None:
-    """The helper's loop: per release of ``posted``, take the next job of
-    ``jobs`` and run its second lane unless the caller has taken it back;
-    keep its error for the caller to raise.
+    """The helper's loop: per release of ``posted``, run the second lane of
+    the next job of ``jobs`` and keep its error for the caller to raise.
 
     It first steps off ``caller_cpu`` and back to its full CPU mask: a
     scheduler that wakes a thread on the core it last ran on, idle siblings
     or not, would otherwise keep a helper that started on the caller's core
-    there, and the caller would take back every second lane (on a 2-vCPU VM,
-    18 of 18 helpers started without the step shared the caller's core).
+    there, and the two lanes would take turns on it (on a 2-vCPU VM, 18 of
+    18 helpers started without the step shared the caller's core, and
+    ``trace-s4-q2-p0`` fell from 6.92 to 5.80 trials/s in perfbench).
     """
     try:
         allowed = os.sched_getaffinity(0)
@@ -300,13 +291,12 @@ def _serve(jobs, posted, caller_cpu) -> None:
     while True:
         posted.acquire()
         job = jobs.popleft()
-        if job[1].acquire(blocking=False):
-            try:
-                job[0]()
-            except BaseException as exc:  # handed to the caller, which raises it
-                job[3] = exc
-            job[0] = None  # the lane's arrays die with the caller's references
-            job[2].set()
+        try:
+            job[0]()
+        except BaseException as exc:  # handed to the caller, which raises it
+            job[2] = exc
+        job[0] = None  # the lane's arrays die with the caller's references
+        job[1].set()
 
 
 _LANES = _Lanes()

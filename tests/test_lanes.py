@@ -2,6 +2,7 @@
 runs the second, errors as if run in order, and no helper in pool workers."""
 
 import os
+import sys
 import threading
 import weakref
 from functools import partial
@@ -17,30 +18,10 @@ from dirgof.sphere import sample_uniform
 HELPER = "dirgof-lane-1"
 
 
-class _HelperLanes(goftest._Lanes):
-    """Lanes whose first lane waits until the helper, when on, has begun the
-    second, so that the caller never takes the second lane back."""
-
-    def run(self, first, second):
-        if not self.helper:  # a pool worker turned it off
-            return super().run(first, second)
-        begun = threading.Event()
-
-        def first_after_second_began():
-            assert begun.wait(10), "the helper did not begin the second lane"
-            first()
-
-        def second_begins():
-            begun.set()
-            second()
-
-        super().run(first_after_second_began, second_begins)
-
-
 @pytest.fixture(scope="module")
 def helper_lanes():
-    """Lanes whose second lane always runs on their helper thread."""
-    return _HelperLanes(helper=True)
+    """Lanes whose second lane runs on their helper thread."""
+    return goftest._Lanes(helper=True)
 
 
 @pytest.fixture
@@ -125,45 +106,73 @@ def test_lane_errors_reach_the_caller_as_in_order(helper_lanes):
     with pytest.raises(ValueError, match="first"):
         helper_lanes.run(lambda: fail(ValueError("first")), lambda: fail(KeyError("second")))
     assert sorted(ran) == sorted([threading.current_thread().name, HELPER])
-    assert not helper_lanes._jobs
+    assert not helper_lanes._served[1]
     done = []
     helper_lanes.run(lambda: done.append(0), lambda: done.append(1))
     assert sorted(done) == [0, 1]
 
 
-def test_caller_takes_back_the_lane_of_a_busy_helper():
-    """A caller that finishes its lane while the helper is busy with another
-    caller's runs the second lane itself, without waiting; the helper then
-    serves the next call."""
-    lanes = _HelperLanes(helper=True)
-    busy, release, ran = threading.Event(), threading.Event(), []
+def test_the_helper_runs_every_second_lane(helper_lanes):
+    """With the helper on, the caller waits for it: even when the first lane
+    is empty, every second lane runs on the helper thread."""
+    ran = []
+    for _ in range(50):
+        helper_lanes.run(lambda: None, lambda: ran.append(threading.current_thread().name))
+    assert ran == [HELPER] * 50
 
-    def occupy():
-        busy.set()
-        assert release.wait(10)
 
-    other = threading.Thread(target=lanes.run, args=(lambda: None, occupy))
-    other.start()
-    assert busy.wait(10)
-    goftest._Lanes.run(lanes, lambda: None, lambda: ran.append(threading.current_thread().name))
-    release.set()
-    other.join(10)
-    lanes.run(lambda: None, lambda: ran.append(threading.current_thread().name))
-    assert ran == [threading.current_thread().name, HELPER]
+def _in_threads(target, *arg_sets):
+    """``target(*args)`` on one thread per ``args``, all joined within 10 s."""
+    threads = [threading.Thread(target=target, args=args, daemon=True) for args in arg_sets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive(), "a call waits on a helper that never serves it"
 
+
+def test_concurrent_calls_all_finish(monkeypatch):
+    """Two threads that make a lanes' first call at the same time both start
+    a helper, and each call posts to the helper it started; then four
+    callers share one helper at a short switch interval.  Every call returns
+    with both of its lanes run."""
+    lanes, both, ran = goftest._Lanes(helper=True), threading.Barrier(2, timeout=10), []
+    start = threading.Thread.start
+
+    def start_together(thread):
+        if thread.name == HELPER:
+            both.wait()
+        start(thread)
+
+    def calls(k, count):
+        for _ in range(count):
+            lanes.run(partial(ran.append, (k, 0)), partial(ran.append, (k, 1)))
+
+    monkeypatch.setattr(threading.Thread, "start", start_together)
+    _in_threads(calls, (0, 1), (1, 1))
+    monkeypatch.undo()
+    assert sorted(ran) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    ran.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _in_threads(calls, *((k, 50) for k in range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == sorted([(k, lane) for k in range(4) for lane in (0, 1)] * 50)
 
 
 def test_lanes_keep_no_array_alive(helper_lanes):
-    """Once ``run`` returns, neither the helper nor a job the caller took
-    back holds the second lane's arrays: a slice buffer kept that way would
-    outlive the Gram form and add its size to a trial's peak memory."""
-    for lanes in (helper_lanes, goftest._Lanes(helper=True)):
-        buffer = np.ones(8)
-        alive = weakref.ref(buffer)
-        lanes.run(lambda: None, partial(np.multiply, buffer, 2.0, out=buffer))
-        assert buffer.sum() == 16.0
-        del buffer
-        assert alive() is None
+    """Once ``run`` returns, the helper holds none of the second lane's
+    arrays: a slice buffer kept that way would outlive the Gram form and add
+    its size to a trial's peak memory."""
+    buffer = np.ones(8)
+    alive = weakref.ref(buffer)
+    helper_lanes.run(lambda: None, partial(np.multiply, buffer, 2.0, out=buffer))
+    assert buffer.sum() == 16.0
+    del buffer
+    assert alive() is None
+
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU masks here")
 def test_helper_keeps_the_process_cpu_mask(helper_lanes):
@@ -196,7 +205,7 @@ def test_statistic_errors_leave_the_helper_idle(monkeypatch, helper_lanes, lane_
             with pytest.raises(RuntimeError) as raised:
                 goftest.streamed_statistic(*call)
             errors.append((type(raised.value), str(raised.value)))
-        assert lanes.helper is False or not lanes._jobs
+        assert lanes.helper is False or not lanes._served[1]
         values.append(goftest.streamed_statistic(predictors, cfg, residuals)[0])
     assert errors[0][0] is RuntimeError and errors[1][0] is SingularGramError
     assert errors[:2] == errors[2:]
